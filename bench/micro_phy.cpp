@@ -331,8 +331,8 @@ void BM_PpduReceive(benchmark::State& state) {
 }
 BENCHMARK(BM_PpduReceive);
 
-// Full PPDU decode through a persistent DecodeScratch — the Session's
-// steady state. BM_PpduReceive above pays per-call scratch construction
+// Full PPDU decode through a persistent BatchDecoder — the Session's
+// steady state. BM_PpduReceive above pays per-call decoder construction
 // and is the comparison point.
 void BM_PpduDecode(benchmark::State& state) {
   util::Rng rng(4);
@@ -340,37 +340,12 @@ void BM_PpduDecode(benchmark::State& state) {
   phy::TxConfig cfg;
   cfg.mcs_index = 5;
   const phy::TxPpdu ppdu = phy::transmit(psdu, cfg);
-  phy::DecodeScratch scratch;
+  phy::BatchDecoder decoder;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::receive(ppdu.symbols, {}, scratch));
+    benchmark::DoNotOptimize(decoder.decode_one(ppdu.symbols, {}).psdu.data());
   }
 }
 BENCHMARK(BM_PpduDecode);
-
-// Eight independent MCS5 PPDUs decoded through one persistent
-// BatchDecoder — the A-MPDU exchange shape. Reported per batch (eight
-// full decodes per iteration); divide by eight to compare against
-// BM_PpduDecode's single-PPDU steady state.
-void BM_PpduDecodeBatch8(benchmark::State& state) {
-  constexpr std::size_t kLanes = 8;
-  util::Rng rng(4);
-  phy::TxConfig cfg;
-  cfg.mcs_index = 5;
-  std::vector<phy::TxPpdu> ppdus;
-  ppdus.reserve(kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    ppdus.push_back(phy::transmit(rng.bytes(3328), cfg));
-  }
-  std::vector<std::span<const phy::FreqSymbol>> lanes;
-  lanes.reserve(kLanes);
-  for (const phy::TxPpdu& p : ppdus) lanes.emplace_back(p.symbols);
-  phy::BatchDecoder decoder;
-  for (auto _ : state) {
-    const auto results = decoder.decode(lanes, {});
-    benchmark::DoNotOptimize(results.data());
-  }
-}
-BENCHMARK(BM_PpduDecodeBatch8);
 
 void BM_AesBlock(benchmark::State& state) {
   const mac::AesKey key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};

@@ -1,11 +1,11 @@
 #include "phy/batch.hpp"
 
-#include <array>
 #include <cstdint>
 #include <cstddef>
 
 #include "obs/obs.hpp"
 #include "phy/constellation.hpp"
+#include "phy/convolutional.hpp"
 #include "phy/interleaver.hpp"
 #include "phy/plcp.hpp"
 #include "phy/scrambler.hpp"
@@ -25,142 +25,96 @@ std::size_t vec_capacity_bytes(const std::vector<T>& v) {
 }  // namespace
 
 std::size_t BatchDecoder::capacity_bytes() const {
-  std::size_t total = vec_capacity_bytes(re_) + vec_capacity_bytes(im_) +
-                      vec_capacity_bytes(nv_) + vec_capacity_bytes(llr_) +
-                      vec_capacity_bytes(plans_);
-  for (const DecodeScratch& sc : scratch_) total += sc.capacity_bytes();
-  return total;
+  return viterbi_.capacity_bytes() + vec_capacity_bytes(eq_.points) +
+         vec_capacity_bytes(eq_.noise_vars) + vec_capacity_bytes(sym_llrs_) +
+         vec_capacity_bytes(deint_) + vec_capacity_bytes(llrs_) +
+         vec_capacity_bytes(mother_) + vec_capacity_bytes(bits_) +
+         vec_capacity_bytes(plain_);
 }
 
-std::span<const RxResult> BatchDecoder::decode(
-    std::span<const std::span<const FreqSymbol>> lanes, const RxConfig& cfg) {
+void BatchDecoder::decode_field(std::span<const FreqSymbol> symbols,
+                                Modulation mod, CodeRate rate,
+                                std::size_t first_symbol_index,
+                                bool cpe_correction,
+                                std::size_t n_info_bits) {
+  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
+  llrs_.clear();
+  llrs_.reserve(symbols.size() * n_cbps);
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    equalize_into(symbols[s], result_.estimate, first_symbol_index + s,
+                  cpe_correction, eq_);
+    demap_soft_into(eq_.points, mod, eq_.noise_vars, sym_llrs_);
+    deinterleave_llrs_into(sym_llrs_, mod, deint_);
+    llrs_.insert(llrs_.end(), deint_.begin(), deint_.end());
+  }
+
+  const auto frac = rate_fraction(rate);
+  // llrs_.size() punctured bits carry llrs_.size() * num / den info bits
+  // at the mother rate.
+  const std::size_t n_info = llrs_.size() * frac.num / frac.den;
+  depuncture_into(llrs_, rate, 2 * n_info, mother_);
+  if (n_info_bits != 0) {
+    WITAG_REQUIRE(n_info_bits <= n_info);
+    mother_.resize(2 * n_info_bits);
+  }
+  viterbi_decode(mother_, viterbi_, bits_);
+}
+
+const RxResult& BatchDecoder::decode_one(std::span<const FreqSymbol> symbols,
+                                         const RxConfig& cfg) {
   WITAG_SPAN_CAT("phy.batch", "phy");
-  const std::size_t n = lanes.size();
   WITAG_COUNT("phy.batch.decodes", 1);
-  WITAG_COUNT("phy.batch.lanes", n);
+  WITAG_COUNT("phy.batch.lanes", 1);
+  WITAG_REQUIRE(symbols.size() >= kHeaderSlots);
   const std::size_t capacity_before = capacity_bytes();
 
-  if (scratch_.size() < n) scratch_.resize(n);  // grow-only: lanes keep
-  plans_.resize(n);                             // their warmed buffers
-  results_.resize(n);
-  re_.clear();
-  im_.clear();
-  nv_.clear();
+  RxResult& res = result_;
+  res.sig_ok = false;
+  res.sig = HtSig{};  // result_ is reused: drop any stale header
+  res.psdu.clear();
 
-  // Phase 1 — per-lane header decode (channel estimate + SIG, same
-  // scalar path as receive(): SIG is two BPSK symbols, not worth
-  // staging) and SoA staging of every decodable lane's data symbols.
-  for (std::size_t l = 0; l < n; ++l) {
-    const std::span<const FreqSymbol> syms = lanes[l];
-    DecodeScratch& sc = scratch_[l];
-    RxResult& res = results_[l];
-    LanePlan& plan = plans_[l];
-    plan = LanePlan{};
-    res.sig_ok = false;
-    res.sig = HtSig{};  // results_ is reused: drop any stale header
-    res.psdu.clear();
-    WITAG_REQUIRE(syms.size() >= kHeaderSlots);
+  // One channel estimate for the whole PPDU, taken from the LTF slots.
+  res.estimate = estimate_channel(symbols.subspan(kStfSlots, kLtfSlots));
 
-    res.estimate = estimate_channel(syms.subspan(kStfSlots, kLtfSlots));
-    detail::field_llrs_into(syms.subspan(kPreambleSlots, kSigSymbols),
-                            res.estimate, Modulation::kBpsk, 0,
-                            cfg.cpe_correction, sc);
-    detail::field_bits_from_llrs(CodeRate::kHalf, 0, sc);
-    const auto sig = decode_sig(sc.bits);
-    if (!sig || sig->mcs_index >= kNumMcs || sig->length == 0) {
-      continue;  // header unusable; receiver drops the PPDU
-    }
+  // SIG field: BPSK rate 1/2, symbol indices 0..1 (consumed from bits_
+  // before the data field reuses the buffer).
+  decode_field(symbols.subspan(kPreambleSlots, kSigSymbols),
+               Modulation::kBpsk, CodeRate::kHalf, 0, cfg.cpe_correction, 0);
+  const auto sig = decode_sig(bits_);
+  if (sig && sig->mcs_index < kNumMcs && sig->length != 0) {
     res.sig = *sig;
-
     const McsParams& m = mcs(res.sig.mcs_index);
     const std::size_t n_sym = data_symbols_for(res.sig.length, m);
-    if (syms.size() < kHeaderSlots + n_sym) {
-      continue;  // truncated capture; treat as undecodable
+    // A truncated capture keeps its decoded header but stays
+    // undecodable, like an unusable header.
+    if (symbols.size() >= kHeaderSlots + n_sym) {
+      res.sig_ok = true;
+      // Decode through service + PSDU + tail; the trellis terminates
+      // there and the remaining pad bits carry nothing.
+      const std::size_t payload_bits = 8 * res.sig.length;
+      decode_field(symbols.subspan(kHeaderSlots, n_sym), m.modulation,
+                   m.rate, kSigSymbols, cfg.cpe_correction,
+                   kServiceBits + payload_bits + kTailBits);
+
+      // Descramble: the service field is transmitted as zeros, so the
+      // first 7 scrambled bits reveal the scrambler state (802.11
+      // receivers recover the seed the same way).
+      descramble_recover_into(bits_, plain_);
+      WITAG_ENSURE(plain_.size() >= kServiceBits + payload_bits);
+      const std::span<const std::uint8_t> payload(
+          plain_.data() + kServiceBits, payload_bits);
+      util::bits_to_bytes_into(payload, res.psdu);
     }
-    res.sig_ok = true;
-    plan.data_ok = true;
-    plan.mod = m.modulation;
-    plan.rate = m.rate;
-    plan.n_sym = n_sym;
-    plan.field_bits = kServiceBits + 8 * res.sig.length + kTailBits;
-    plan.point_off = re_.size();
-    for (std::size_t s = 0; s < n_sym; ++s) {
-      equalize_into(syms[kHeaderSlots + s], res.estimate, kSigSymbols + s,
-                    cfg.cpe_correction, sc.eq);
-      for (const util::Cx& y : sc.eq.points) {
-        re_.push_back(y.real());
-        im_.push_back(y.imag());
-      }
-      nv_.insert(nv_.end(), sc.eq.noise_vars.begin(),
-                 sc.eq.noise_vars.end());
-    }
-    plan.n_points = re_.size() - plan.point_off;
   }
 
-  // Phase 2 — lockstep soft demap: one kernel sweep per lane over its
-  // whole staged field (the SIMD kernels chew through all lanes'
-  // points back to back; per-point math is position-independent, so
-  // the LLRs match receive()'s per-symbol calls bit for bit).
-  std::size_t total_llrs = 0;
-  for (std::size_t l = 0; l < n; ++l) {
-    LanePlan& plan = plans_[l];
-    if (!plan.data_ok) continue;
-    plan.llr_off = total_llrs;
-    total_llrs += plan.n_points * bits_per_symbol(plan.mod);
-  }
-  llr_.resize(total_llrs);
-  for (std::size_t l = 0; l < n; ++l) {
-    const LanePlan& plan = plans_[l];
-    if (!plan.data_ok) continue;
-    demap_soft_soa(re_.data() + plan.point_off, im_.data() + plan.point_off,
-                   nv_.data() + plan.point_off, plan.n_points, plan.mod,
-                   llr_.data() + plan.llr_off);
-  }
-
-  // Phase 3 — per-lane tail: deinterleave each symbol's LLR slice, then
-  // depuncture, Viterbi-decode, descramble and pack the PSDU, all into
-  // reused lane buffers.
-  for (std::size_t l = 0; l < n; ++l) {
-    const LanePlan& plan = plans_[l];
-    if (!plan.data_ok) continue;
-    DecodeScratch& sc = scratch_[l];
-    RxResult& res = results_[l];
-    const unsigned n_cbps =
-        kDataSubcarriers * bits_per_symbol(plan.mod);
-    sc.llrs.clear();
-    sc.llrs.reserve(plan.n_sym * n_cbps);
-    for (std::size_t s = 0; s < plan.n_sym; ++s) {
-      const std::span<const double> sym_llrs(
-          llr_.data() + plan.llr_off + s * n_cbps, n_cbps);
-      deinterleave_llrs_into(sym_llrs, plan.mod, sc.deint);
-      sc.llrs.insert(sc.llrs.end(), sc.deint.begin(), sc.deint.end());
-    }
-    detail::field_bits_from_llrs(plan.rate, plan.field_bits, sc);
-
-    descramble_recover_into(sc.bits, sc.plain);
-    const std::size_t payload_bits = 8 * res.sig.length;
-    WITAG_ENSURE(sc.plain.size() >= kServiceBits + payload_bits);
-    const std::span<const std::uint8_t> payload(
-        sc.plain.data() + kServiceBits, payload_bits);
-    util::bits_to_bytes_into(payload, res.psdu);
-  }
-
-  if (n > 0 && capacity_bytes() == capacity_before) {
+  if (capacity_bytes() == capacity_before) {
     WITAG_COUNT("phy.batch.scratch_reuses", 1);
   }
 #if WITAG_OBS_ENABLED
   static obs::Gauge& scratch_gauge = obs::gauge("phy.batch.scratch_bytes");
   scratch_gauge.set(static_cast<double>(capacity_bytes()));
 #endif
-  return {results_.data(), n};
-}
-
-const RxResult& BatchDecoder::decode_one(std::span<const FreqSymbol> symbols,
-                                         const RxConfig& cfg) {
-  one_lane_[0] = symbols;
-  return decode(std::span<const std::span<const FreqSymbol>>(
-                    one_lane_.data(), 1),
-                cfg)[0];
+  return res;
 }
 
 }  // namespace witag::phy

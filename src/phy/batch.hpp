@@ -1,76 +1,65 @@
-// Batch-of-PPDUs decoder: decodes N independent subframe timelines
-// (e.g. the subframes of an A-MPDU exchange) in lockstep lanes over
-// structure-of-arrays staging buffers.
+// The PPDU decoder: the one receive pipeline, shared by Session's
+// exchange path and the one-shot phy::receive() wrappers.
 //
-// Why a batch API when each PPDU could just call receive(): the hot
-// kernel underneath the decode chain is the soft demap, and its SIMD
-// implementations want long runs of points. receive() hands the demap
-// 52 points per OFDM symbol; the batch decoder first equalizes every
-// data symbol of every lane into flat re/im/noise SoA arrays, then
-// demaps each lane's whole field in one kernel sweep (thousands of
-// points), and only then fans back out to the per-lane deinterleave /
-// depuncture / Viterbi / descramble tail. Results are bit-identical to
-// per-PPDU receive() — the per-point math is position-independent —
-// which tests/test_batch_decode.cpp fuzzes across lane counts, ragged
-// batches and fault regimes.
+// An exchange decodes its query A-MPDU as a single PPDU against a
+// single channel estimate taken from the LTFs — the estimate going
+// stale mid-frame is what carries the tag's bits — so there are never
+// independent PPDUs in one exchange to decode side by side. The decoder
+// therefore runs one PPDU per call: SIG and DATA go through the same
+// field decode (per symbol: equalize → soft demap → deinterleave; then
+// depuncture → Viterbi), and the DATA bits are descrambled into a
+// reused RxResult.
 //
-// All buffers (per-lane DecodeScratch, the SoA staging, the results) are
-// grow-only and reused across calls, so steady-state batch decode
-// performs zero heap allocations (asserted via the
-// `phy.batch.scratch_reuses` counter, mirroring ViterbiWorkspace).
+// Every buffer is owned here and grows to the largest PPDU seen, so
+// steady-state decode performs zero heap allocations (asserted via the
+// `phy.batch.scratch_reuses` counter, mirroring ViterbiWorkspace). Not
+// thread-safe: use one decoder per thread (each Session owns one).
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 #include <cstddef>
 
+#include "phy/channel_est.hpp"
+#include "phy/mcs.hpp"
+#include "phy/ofdm.hpp"
 #include "phy/ppdu.hpp"
+#include "phy/viterbi.hpp"
+#include "util/bits.hpp"
 
 namespace witag::phy {
 
 class BatchDecoder {
  public:
-  /// Decodes each lane (one received symbol timeline per lane, same
-  /// layout receive() expects). Returns one RxResult per lane, in lane
-  /// order; the span is valid until the next decode call. Every lane
-  /// requires at least the header slots.
-  std::span<const RxResult> decode(
-      std::span<const std::span<const FreqSymbol>> lanes,
-      const RxConfig& cfg);
-
-  /// Single-lane convenience for callers that decode one PPDU at a time
-  /// (Session's exchange path). Same machinery, batch of one.
+  /// Decodes one received symbol timeline (same layout as
+  /// TxPpdu::symbols). Requires at least the header slots. The result
+  /// is valid until the next call.
   const RxResult& decode_one(std::span<const FreqSymbol> symbols,
                              const RxConfig& cfg);
 
-  /// Heap bytes currently reserved across all lane scratches and the
-  /// SoA staging buffers (exported as `phy.batch.scratch_bytes`).
+  /// Heap bytes currently reserved across the decode buffers (exported
+  /// as `phy.batch.scratch_bytes`).
   std::size_t capacity_bytes() const;
 
  private:
-  /// Per-lane data-field plan recorded by the header phase.
-  struct LanePlan {
-    bool data_ok = false;  ///< header valid and capture long enough
-    Modulation mod = Modulation::kBpsk;
-    CodeRate rate = CodeRate::kHalf;
-    std::size_t n_sym = 0;       ///< data symbols
-    std::size_t field_bits = 0;  ///< service + PSDU + tail info bits
-    std::size_t point_off = 0;   ///< lane's first index in re_/im_/nv_
-    std::size_t n_points = 0;    ///< equalized data points staged
-    std::size_t llr_off = 0;     ///< lane's first index in llr_
-  };
+  /// Decodes one field against `result_.estimate` — equalize,
+  /// soft-demap and deinterleave each symbol, then depuncture and
+  /// Viterbi-decode into `bits_`.
+  /// `n_info_bits` truncates the decode (0 = everything; the data
+  /// field stops at the tail where the trellis terminates).
+  void decode_field(std::span<const FreqSymbol> symbols, Modulation mod,
+                    CodeRate rate, std::size_t first_symbol_index,
+                    bool cpe_correction, std::size_t n_info_bits);
 
-  std::vector<DecodeScratch> scratch_;  ///< one per lane, grow-only
-  std::vector<LanePlan> plans_;
-  std::vector<RxResult> results_;
-  // SoA staging: all lanes' equalized data points and the demapped
-  // LLRs, concatenated lane by lane.
-  std::vector<double> re_;
-  std::vector<double> im_;
-  std::vector<double> nv_;
-  std::vector<double> llr_;
-  std::array<std::span<const FreqSymbol>, 1> one_lane_{};
+  ViterbiWorkspace viterbi_;
+  EqualizedSymbol eq_;            ///< Per-symbol equalizer output.
+  std::vector<double> sym_llrs_;  ///< Per-symbol soft demap output.
+  std::vector<double> deint_;     ///< Per-symbol deinterleaved LLRs.
+  std::vector<double> llrs_;      ///< Concatenated field LLRs.
+  std::vector<double> mother_;    ///< Depunctured mother-rate LLRs.
+  util::BitVec bits_;             ///< Viterbi output bits.
+  util::BitVec plain_;            ///< Descrambled field bits.
+  RxResult result_;
 };
 
 }  // namespace witag::phy

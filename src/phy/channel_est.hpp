@@ -44,8 +44,8 @@ EqualizedSymbol equalize(const FreqSymbol& rx, const ChannelEstimate& est,
                          std::size_t symbol_index, bool cpe_correction = true);
 
 /// Allocation-reusing variant: writes into `out` (vectors resized;
-/// capacity reused). The hot decode path threads one EqualizedSymbol
-/// through phy::DecodeScratch so per-symbol buffers persist.
+/// capacity reused). The hot decode path keeps one EqualizedSymbol in
+/// its phy::BatchDecoder so per-symbol buffers persist.
 ///
 /// The per-subcarrier divide runs through the phy::simd equalize kernel
 /// (bit-identical at every dispatch tier): points are computed as

@@ -204,7 +204,7 @@ void demap_soft_into(std::span<const Cx> points, Modulation mod,
       simd::demap_block_for(simd::active_tier());
   // Split the interleaved points into SoA chunks for the kernel; the
   // per-point math is chunk-independent, so any chunk size gives the
-  // same LLRs (the batch decoder stages whole fields without chunking).
+  // same LLRs.
   constexpr std::size_t kChunk = 64;
   std::array<double, kChunk> re;
   std::array<double, kChunk> im;
@@ -218,17 +218,6 @@ void demap_soft_into(std::span<const Cx> points, Modulation mod,
     kernel(re.data(), im.data(), noise_vars.data() + base, count, ax,
            out.data() + base * ax.n_bits);
   }
-}
-
-void demap_soft_soa(const double* re, const double* im,
-                    const double* noise_vars, std::size_t count,
-                    Modulation mod, double* out) {
-  const simd::DemapAxes& ax = axes_for(mod);
-  for (std::size_t p = 0; p < count; ++p) {
-    WITAG_REQUIRE(noise_vars[p] > 0.0);
-  }
-  simd::demap_block_for(simd::active_tier())(re, im, noise_vars, count, ax,
-                                             out);
 }
 
 namespace detail {

@@ -5,7 +5,6 @@
 
 #include <span>
 #include <vector>
-#include <cstddef>
 #include <cstdint>
 
 #include "phy/mcs.hpp"
@@ -43,14 +42,6 @@ std::vector<double> demap_soft(std::span<const util::Cx> points,
 void demap_soft_into(std::span<const util::Cx> points, Modulation mod,
                      std::span<const double> noise_vars,
                      std::vector<double>& out);
-
-/// SoA soft demap for the batch decode path: `re`/`im`/`noise_vars` are
-/// parallel arrays of `count` equalized points, `out` receives
-/// count * bits_per_symbol(mod) LLRs. Same kernels (and bits) as
-/// demap_soft_into, minus the AoS→SoA staging.
-void demap_soft_soa(const double* re, const double* im,
-                    const double* noise_vars, std::size_t count,
-                    Modulation mod, double* out);
 
 /// The (normalized) points of a constellation in bit-pattern order:
 /// entry i is the point whose bits, LSB-first, encode i.

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "obs/obs.hpp"
+#include "phy/batch.hpp"
 #include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/interleaver.hpp"
 #include "phy/preamble.hpp"
 #include "phy/scrambler.hpp"
-#include "phy/viterbi.hpp"
 #include "util/require.hpp"
 #include "util/complexvec.hpp"
 
@@ -18,11 +17,6 @@ namespace {
 
 constexpr std::size_t kServiceBits = 16;
 constexpr std::size_t kTailBits = 6;
-
-template <typename T>
-std::size_t vec_capacity_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
 
 // Encodes `bits` (already scrambled where applicable) into OFDM data
 // symbols at the given modulation/rate. `bits` must fill a whole number
@@ -47,66 +41,7 @@ std::vector<FreqSymbol> encode_field(std::span<const std::uint8_t> bits,
   return symbols;
 }
 
-// Inverse of encode_field: equalize, soft-demap and deinterleave each
-// symbol, then depuncture and Viterbi-decode the concatenated stream.
-// Split into the two detail:: stages below so the batch decoder can run
-// the symbols→LLRs front half over its SoA staging buffers and reuse the
-// LLRs→bits back half unchanged.
-void decode_field(std::span<const FreqSymbol> symbols,
-                  const ChannelEstimate& est, Modulation mod, CodeRate rate,
-                  std::size_t first_symbol_index, bool cpe_correction,
-                  std::size_t n_info_bits, DecodeScratch& scratch) {
-  detail::field_llrs_into(symbols, est, mod, first_symbol_index,
-                          cpe_correction, scratch);
-  detail::field_bits_from_llrs(rate, n_info_bits, scratch);
-}
-
 }  // namespace
-
-namespace detail {
-
-void field_llrs_into(std::span<const FreqSymbol> symbols,
-                     const ChannelEstimate& est, Modulation mod,
-                     std::size_t first_symbol_index, bool cpe_correction,
-                     DecodeScratch& scratch) {
-  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
-  scratch.llrs.clear();
-  scratch.llrs.reserve(symbols.size() * n_cbps);
-  for (std::size_t s = 0; s < symbols.size(); ++s) {
-    equalize_into(symbols[s], est, first_symbol_index + s, cpe_correction,
-                  scratch.eq);
-    demap_soft_into(scratch.eq.points, mod, scratch.eq.noise_vars,
-                    scratch.sym_llrs);
-    deinterleave_llrs_into(scratch.sym_llrs, mod, scratch.deint);
-    scratch.llrs.insert(scratch.llrs.end(), scratch.deint.begin(),
-                        scratch.deint.end());
-  }
-}
-
-void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
-                          DecodeScratch& scratch) {
-  const auto frac = rate_fraction(rate);
-  // llrs.size() punctured bits carry llrs.size() * num / den info bits at
-  // the mother rate.
-  const std::size_t n_info = scratch.llrs.size() * frac.num / frac.den;
-  depuncture_into(scratch.llrs, rate, 2 * n_info, scratch.mother);
-  if (n_info_bits != 0) {
-    WITAG_REQUIRE(n_info_bits <= n_info);
-    scratch.mother.resize(2 * n_info_bits);
-  }
-  viterbi_decode(scratch.mother, scratch.viterbi, scratch.bits);
-}
-
-}  // namespace detail
-
-std::size_t DecodeScratch::capacity_bytes() const {
-  return viterbi.capacity_bytes() + vec_capacity_bytes(eq.points) +
-         vec_capacity_bytes(eq.noise_vars) + vec_capacity_bytes(sym_llrs) +
-         vec_capacity_bytes(deint) + vec_capacity_bytes(llrs) +
-         vec_capacity_bytes(mother) + vec_capacity_bytes(bits) +
-         vec_capacity_bytes(plain) + vec_capacity_bytes(symbols) +
-         vec_capacity_bytes(fft_work);
-}
 
 double TxPpdu::duration_us() const {
   return static_cast<double>(symbols.size()) * kSymbolDurationUs;
@@ -163,58 +98,8 @@ TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
 }
 
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg) {
-  DecodeScratch scratch;
-  return receive(symbols, cfg, scratch);
-}
-
-RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
-                 DecodeScratch& scratch) {
-  WITAG_REQUIRE(symbols.size() >= kHeaderSlots);
-  RxResult out;
-
-  // One channel estimate for the whole PPDU, taken from the LTF slots.
-  out.estimate = estimate_channel(symbols.subspan(kStfSlots, kLtfSlots));
-
-  // SIG field (consumed from scratch.bits before the data field reuses
-  // the buffer).
-  decode_field(symbols.subspan(kPreambleSlots, kSigSymbols), out.estimate,
-               Modulation::kBpsk, CodeRate::kHalf, 0, cfg.cpe_correction, 0,
-               scratch);
-  const auto sig = decode_sig(scratch.bits);
-  if (!sig || sig->mcs_index >= kNumMcs || sig->length == 0) {
-    return out;  // header unusable; receiver drops the PPDU
-  }
-  out.sig = *sig;
-
-  const McsParams& m = mcs(out.sig.mcs_index);
-  const std::size_t n_sym = data_symbols_for(out.sig.length, m);
-  if (symbols.size() < kHeaderSlots + n_sym) {
-    return out;  // truncated capture; treat as undecodable
-  }
-  out.sig_ok = true;
-
-  // Decode through service + PSDU + tail; the trellis terminates there
-  // and the remaining pad bits carry nothing.
-  const std::size_t field_bits = 16 + 8 * out.sig.length + 6;
-  decode_field(symbols.subspan(kHeaderSlots, n_sym), out.estimate,
-               m.modulation, m.rate, kSigSymbols, cfg.cpe_correction,
-               field_bits, scratch);
-
-  // Descramble: the service field is transmitted as zeros, so the first 7
-  // scrambled bits reveal the scrambler state (802.11 receivers recover
-  // the seed the same way).
-  descramble_recover_into(scratch.bits, scratch.plain);
-
-  const std::size_t payload_bits = 8 * out.sig.length;
-  WITAG_ENSURE(scratch.plain.size() >= kServiceBits + payload_bits);
-  const std::span<const std::uint8_t> payload(
-      scratch.plain.data() + kServiceBits, payload_bits);
-  out.psdu = util::bits_to_bytes(payload);
-#if WITAG_OBS_ENABLED
-  static obs::Gauge& scratch_gauge = obs::gauge("phy.decode.scratch_bytes");
-  scratch_gauge.set(static_cast<double>(scratch.capacity_bytes()));
-#endif
-  return out;
+  BatchDecoder decoder;
+  return decoder.decode_one(symbols, cfg);
 }
 
 util::CxVec to_samples(const TxPpdu& ppdu) {
@@ -229,20 +114,13 @@ util::CxVec to_samples(const TxPpdu& ppdu) {
 
 RxResult receive_samples(std::span<const util::Cx> samples,
                          const RxConfig& cfg) {
-  DecodeScratch scratch;
-  return receive_samples(samples, cfg, scratch);
-}
-
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg, DecodeScratch& scratch) {
   WITAG_REQUIRE(samples.size() % kSamplesPerSymbol == 0);
-  scratch.symbols.resize(samples.size() / kSamplesPerSymbol);
-  for (std::size_t slot = 0; slot < scratch.symbols.size(); ++slot) {
-    from_time_into(samples.subspan(slot * kSamplesPerSymbol,
-                                   kSamplesPerSymbol),
-                   scratch.fft_work, scratch.symbols[slot]);
+  std::vector<FreqSymbol> symbols;
+  symbols.reserve(samples.size() / kSamplesPerSymbol);
+  for (std::size_t off = 0; off < samples.size(); off += kSamplesPerSymbol) {
+    symbols.push_back(from_time(samples.subspan(off, kSamplesPerSymbol)));
   }
-  return receive(scratch.symbols, cfg, scratch);
+  return receive(symbols, cfg);
 }
 
 }  // namespace witag::phy

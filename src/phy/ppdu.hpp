@@ -19,35 +19,10 @@
 #include "phy/mcs.hpp"
 #include "phy/ofdm.hpp"
 #include "phy/plcp.hpp"
-#include "phy/viterbi.hpp"
 #include "util/bits.hpp"
 #include "util/complexvec.hpp"
 
 namespace witag::phy {
-
-/// Reusable buffers for the receive pipeline. One scratch serves any
-/// number of sequential decodes; each buffer grows to the largest PPDU
-/// seen and is then reused, so steady-state decode of an A-MPDU stream
-/// (and of successive Reader rounds — the Session owns one scratch)
-/// performs no per-subframe heap allocation. Not thread-safe: use one
-/// scratch per thread (the sweep runner's per-worker Sessions each own
-/// theirs).
-struct DecodeScratch {
-  ViterbiWorkspace viterbi;
-  EqualizedSymbol eq;              ///< Per-symbol equalizer output.
-  std::vector<double> sym_llrs;    ///< Per-symbol soft demap output.
-  std::vector<double> deint;       ///< Per-symbol deinterleaved LLRs.
-  std::vector<double> llrs;        ///< Concatenated field LLRs.
-  std::vector<double> mother;      ///< Depunctured mother-rate LLRs.
-  util::BitVec bits;               ///< Viterbi output bits.
-  util::BitVec plain;              ///< Descrambled field bits.
-  std::vector<FreqSymbol> symbols; ///< receive_samples staging.
-  util::CxVec fft_work;            ///< OFDM transform buffer.
-
-  /// Heap bytes currently reserved across all buffers (exported as the
-  /// `phy.decode.scratch_bytes` gauge).
-  std::size_t capacity_bytes() const;
-};
 
 /// Role of each symbol slot in the PPDU timeline. The layout is fixed:
 /// slot 0 = STF, slots 1..2 = LTF, slots 3..4 = SIG, remainder = data.
@@ -86,10 +61,12 @@ struct RxConfig {
   bool cpe_correction = true;  ///< Pilot-based common-phase tracking.
 };
 
-/// Receive outcome. When `sig_ok` is false the PPDU is undecodable (the
-/// header failed its CRC) and `psdu` is empty. Otherwise `psdu` holds the
-/// decoded bytes, which may still contain bit errors — per-MPDU FCS
-/// checking is the MAC layer's job.
+/// Receive outcome. When `sig_ok` is false the PPDU is undecodable and
+/// `psdu` is empty: either the header is unusable (failed CRC, invalid
+/// MCS or zero length; `sig` stays default), or the capture is shorter
+/// than the header says (`sig` holds the decoded header). Otherwise `psdu` holds the decoded bytes, which
+/// may still contain bit errors — per-MPDU FCS checking is the MAC
+/// layer's job.
 struct RxResult {
   bool sig_ok = false;
   HtSig sig;
@@ -98,13 +75,9 @@ struct RxResult {
 };
 
 /// Decodes a received symbol timeline (same layout as TxPpdu::symbols).
-/// Requires at least the header slots.
+/// Requires at least the header slots. One-shot wrapper over a fresh
+/// phy::BatchDecoder (phy/batch.hpp); hot paths keep a decoder instead.
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg);
-
-/// Scratch-threaded variant: reuses `scratch` buffers across calls so
-/// steady-state decode allocates only the returned RxResult contents.
-RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
-                 DecodeScratch& scratch);
 
 /// Flattens a PPDU to 20 Msps time-domain samples (80 per slot).
 util::CxVec to_samples(const TxPpdu& ppdu);
@@ -113,28 +86,5 @@ util::CxVec to_samples(const TxPpdu& ppdu);
 /// decodes them. Requires a whole number of 80-sample slots.
 RxResult receive_samples(std::span<const util::Cx> samples,
                          const RxConfig& cfg);
-
-/// Scratch-threaded variant of receive_samples.
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg, DecodeScratch& scratch);
-
-namespace detail {
-
-/// Front half of a field decode: equalize, soft-demap and deinterleave
-/// each symbol, leaving the concatenated field LLRs in `scratch.llrs`
-/// (cleared first). Shared by receive() and the BatchDecoder staging.
-void field_llrs_into(std::span<const FreqSymbol> symbols,
-                     const ChannelEstimate& est, Modulation mod,
-                     std::size_t first_symbol_index, bool cpe_correction,
-                     DecodeScratch& scratch);
-
-/// Back half: depunctures `scratch.llrs` at `rate`, truncates to
-/// `n_info_bits` information bits (0 = decode everything; the data
-/// field stops at the tail where the trellis terminates) and
-/// Viterbi-decodes into `scratch.bits`.
-void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
-                          DecodeScratch& scratch);
-
-}  // namespace detail
 
 }  // namespace witag::phy

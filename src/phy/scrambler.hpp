@@ -23,8 +23,8 @@ util::BitVec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed);
 util::BitVec descramble_recover(std::span<const std::uint8_t> bits);
 
 /// Allocation-reusing variant: writes the descrambled stream into `out`
-/// (resized; capacity reused). The hot decode path threads one buffer
-/// through phy::DecodeScratch.
+/// (resized; capacity reused). The hot decode path keeps one buffer in
+/// its phy::BatchDecoder.
 void descramble_recover_into(std::span<const std::uint8_t> bits,
                              util::BitVec& out);
 

@@ -316,7 +316,13 @@ void deinterleave_avx2(const double* in, const std::int32_t* map,
         reinterpret_cast<const __m128i*>(map + k));
     // A pure permutation: four gathered loads land in one consecutive
     // store, bit-identical to the scalar copy loop by construction.
-    const __m256d v = _mm256_i32gather_pd(in, idx, 8);
+    // The masked form with every lane enabled is the same instruction;
+    // its explicit zero source avoids the unmasked intrinsic's
+    // self-initialised placeholder, which g++ 12 flags as
+    // maybe-uninitialized.
+    const __m256d v = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), in, idx,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
     _mm256_storeu_pd(out + k, v);  // witag-lint: allow(simd-unaligned)
   }
   for (; k < n; ++k) out[k] = in[map[k]];

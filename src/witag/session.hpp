@@ -135,10 +135,10 @@ class Session {
   /// Layout cache for addressed queries (index = trigger code).
   std::vector<std::optional<QueryLayout>> layout_cache_;
   double tag_noise_var_ = 0.0;      ///< Noise at the tag detector [W].
-  /// Batch decoder reused across every exchange this session runs (the
+  /// PPDU decoder reused across every exchange this session runs (the
   /// Reader drives many rounds through one Session, so A-MPDU decode is
   /// allocation-free in steady state). An exchange decodes its whole
-  /// A-MPDU in one batch call through the SoA/SIMD pipeline.
+  /// A-MPDU as one PPDU through decode_one.
   phy::BatchDecoder batch_decoder_;
 };
 

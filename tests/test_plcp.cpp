@@ -5,15 +5,18 @@
 namespace witag::phy {
 namespace {
 
+// Both fields are 8 bytes wide so the struct has no padding: gtest names
+// each case after the raw bytes of its parameter, and padding bytes are
+// indeterminate, which would give the case a different name on every run.
 struct SigCase {
-  unsigned mcs;
+  std::size_t mcs;
   std::size_t length;
 };
 
 class PlcpParam : public ::testing::TestWithParam<SigCase> {};
 
 TEST_P(PlcpParam, RoundTrip) {
-  const HtSig sig{GetParam().mcs, GetParam().length};
+  const HtSig sig{static_cast<unsigned>(GetParam().mcs), GetParam().length};
   const util::BitVec bits = encode_sig(sig);
   ASSERT_EQ(bits.size(), kSigBits);
   const auto decoded = decode_sig(bits);

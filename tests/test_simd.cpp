@@ -201,38 +201,6 @@ TEST(SimdParity, DemapEveryTierMatchesReference) {
   }
 }
 
-TEST(SimdParity, DemapSoaMatchesAosPath) {
-  const std::vector<Tier> tiers = runnable_tiers();
-  util::CxVec points;
-  std::vector<double> noise_vars;
-  std::vector<double> re, im, soa;
-  for (std::uint64_t trial = 0; trial < 100; ++trial) {
-    util::Rng rng(0x50'A0 + trial);
-    for (const phy::Modulation mod : kMods) {
-      const std::size_t count = 1 + rng.uniform_int(97);
-      fuzz_points(rng, mod, count, points, noise_vars);
-      re.resize(count);
-      im.resize(count);
-      for (std::size_t p = 0; p < count; ++p) {
-        re[p] = points[p].real();
-        im[p] = points[p].imag();
-      }
-      const std::vector<double> expect =
-          phy::detail::demap_soft_reference(points, mod, noise_vars);
-      soa.assign(expect.size(), 0.0);
-      for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        phy::demap_soft_soa(re.data(), im.data(), noise_vars.data(), count,
-                            mod, soa.data());
-        ASSERT_EQ(std::memcmp(soa.data(), expect.data(),
-                              expect.size() * sizeof(double)),
-                  0)
-            << "trial " << trial << " tier " << phy::simd::tier_name(t);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // Equalize.
 // ---------------------------------------------------------------------
