@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace witag::obs::json {
@@ -165,7 +166,15 @@ class Parser {
       }
       if (digits() == 0) fail("expected exponent digits", pos_);
     }
-    return std::stod(std::string(text_.substr(start, pos_ - start)));
+    // strtod over a NUL-terminated copy of the validated span: the view
+    // may run on into bytes strtod would accept (a validated "0" is
+    // followed by "x1p3" in "0x1p3").
+    // Underflow yields the nearest double (0 or a denormal); overflow is
+    // an error, since JSON has no infinity to hand back.
+    const std::string span(text_.substr(start, pos_ - start));
+    const double value = std::strtod(span.c_str(), nullptr);
+    if (std::isinf(value)) fail("number out of range", start);
+    return value;
   }
 
   Value parse_array(int depth) {
@@ -353,7 +362,7 @@ void Value::dump_to(std::string& out) const {
       // Prefer the short form when it round-trips (keeps files readable).
       char short_buf[32];
       std::snprintf(short_buf, sizeof short_buf, "%.12g", num_);
-      out += (std::stod(short_buf) == num_) ? short_buf : buf;
+      out += (std::strtod(short_buf, nullptr) == num_) ? short_buf : buf;
       break;
     }
     case Kind::kString:

@@ -1,8 +1,10 @@
 // Minimal JSON value model with a writer and a strict recursive-descent
-// parser. This exists so the observability exporters (Chrome trace,
-// metrics reports) can be emitted *and parsed back* without an external
-// dependency — tests round-trip every schema through this parser, and
-// future tooling can load bench reports with it.
+// parser, and the repo's only JSON reader. The observability exporters
+// (Chrome trace, metrics reports) are emitted *and parsed back* through
+// it without an external dependency — tests round-trip every schema
+// through this parser — and the tools read with it too: bench_compare
+// (metrics exports), witag_lint --check-sarif (SARIF) and telemetry_tail
+// (JSONL streams).
 //
 // Scope is deliberately small: UTF-8 pass-through (only the escapes JSON
 // requires are produced/understood), doubles for every number, no
@@ -33,7 +35,9 @@ class Value {
   static Value object();
 
   /// Parses a complete JSON document (leading/trailing whitespace ok).
-  /// Throws std::invalid_argument with a byte offset on malformed input.
+  /// Throws std::invalid_argument with a byte offset on malformed input,
+  /// on nesting deeper than 64 levels and on a number too large for a
+  /// double; a number too small for one reads as the nearest double.
   static Value parse(std::string_view text);
 
   Kind kind() const { return kind_; }

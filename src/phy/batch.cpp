@@ -110,10 +110,8 @@ const RxResult& BatchDecoder::decode_one(std::span<const FreqSymbol> symbols,
   if (capacity_bytes() == capacity_before) {
     WITAG_COUNT("phy.batch.scratch_reuses", 1);
   }
-#if WITAG_OBS_ENABLED
   static obs::Gauge& scratch_gauge = obs::gauge("phy.batch.scratch_bytes");
   scratch_gauge.set(static_cast<double>(capacity_bytes()));
-#endif
   return res;
 }
 

@@ -154,10 +154,8 @@ TEST(BatchDecode, SteadyStateDecodesWithoutAllocating) {
   const std::size_t warm_capacity = decoder.capacity_bytes();
   ASSERT_GT(warm_capacity, 0u);
 
-#if WITAG_OBS_ENABLED
   const std::uint64_t reuses_before =
       obs::counter("phy.batch.scratch_reuses").value();
-#endif
   constexpr int kRounds = 50;
   for (int round = 0; round < kRounds; ++round) {
     for (const Lane& lane : lanes) {
@@ -165,12 +163,10 @@ TEST(BatchDecode, SteadyStateDecodesWithoutAllocating) {
       ASSERT_EQ(decoder.capacity_bytes(), warm_capacity) << "round " << round;
     }
   }
-#if WITAG_OBS_ENABLED
   // Every steady-state decode must have taken the reuse (zero-alloc)
   // path: the counter only increments when no buffer grew.
   EXPECT_EQ(obs::counter("phy.batch.scratch_reuses").value(),
             reuses_before + kRounds * lanes.size());
-#endif
 }
 
 }  // namespace

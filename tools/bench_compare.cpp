@@ -1,10 +1,11 @@
 // bench_compare: the perf-regression gate for the micro_phy baseline.
 //
 // Reads two obs metrics JSON files (the single-line export written by
-// `--metrics-out`, see EXPERIMENTS.md "BENCH_phy.json schema") and
-// compares every pinned gauge — a gauge is pinned when its name starts
-// with "bench." and ends with ".ns_per_op", i.e. the per-benchmark
-// timings micro_phy's ObsReporter exports. A current value more than
+// `--metrics-out`, see EXPERIMENTS.md "BENCH_phy.json schema") with the
+// repo's one JSON reader, obs::json, and compares every pinned gauge —
+// a gauge is pinned when its name starts with "bench." and ends with
+// ".ns_per_op", i.e. the per-benchmark timings micro_phy's ObsReporter
+// exports. A current value more than
 // `--max-regress` (fraction, default 0.25) above the baseline fails the
 // gate, as does a pinned gauge missing from the current run (a renamed
 // or deleted benchmark must come with a refreshed baseline).
@@ -14,14 +15,14 @@
 //                 [--max-regress 0.25]
 //
 // Exit status: 0 gate green, 1 regression (or missing gauge), 2 usage
-// or parse error.
+// or parse error (malformed JSON, or a gauge value that is not a
+// number).
 //
 // Faster-than-baseline results pass and are reported as candidates for
 // a baseline refresh; the baseline is only rewritten by hand (commit
 // the new file), never by this tool.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -29,135 +30,45 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace {
 
-// Minimal scanner for the metrics export: walks the JSON text tracking
-// object depth, finds the top-level "gauges" object, and reads its flat
-// "name": number members. Full JSON parsing is deliberately out of
-// scope — the export format is fixed (flat string->number map) and
-// produced by our own obs::report code.
-struct GaugeScan {
-  std::map<std::string, double> gauges;
-  bool ok = false;
-  std::string error;
-};
-
-void skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-}
-
-bool parse_string(const std::string& s, std::size_t& i, std::string& out) {
-  if (i >= s.size() || s[i] != '"') return false;
-  out.clear();
-  for (++i; i < s.size(); ++i) {
-    if (s[i] == '\\') {
-      if (i + 1 < s.size()) out += s[++i];
-    } else if (s[i] == '"') {
-      ++i;
-      return true;
-    } else {
-      out += s[i];
-    }
-  }
-  return false;
-}
-
-GaugeScan scan_gauges(const std::string& text) {
-  GaugeScan result;
-  // Locate the "gauges" key at object depth 1 (the top-level record).
-  std::size_t i = 0;
-  int depth = 0;
-  bool found = false;
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == '"') {
-      std::string key;
-      if (!parse_string(text, i, key)) {
-        result.error = "unterminated string";
-        return result;
-      }
-      skip_ws(text, i);
-      if (depth == 1 && i < text.size() && text[i] == ':' &&
-          key == "gauges") {
-        ++i;
-        found = true;
-        break;
-      }
-      continue;
-    }
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ++i;
-  }
-  if (!found) {
-    result.error = "no top-level \"gauges\" object";
-    return result;
-  }
-  skip_ws(text, i);
-  if (i >= text.size() || text[i] != '{') {
-    result.error = "\"gauges\" is not an object";
-    return result;
-  }
-  ++i;
-  skip_ws(text, i);
-  if (i < text.size() && text[i] == '}') {
-    result.ok = true;  // empty gauges map
-    return result;
-  }
-  while (i < text.size()) {
-    std::string name;
-    if (!parse_string(text, i, name)) {
-      result.error = "expected gauge name string";
-      return result;
-    }
-    skip_ws(text, i);
-    if (i >= text.size() || text[i] != ':') {
-      result.error = "expected ':' after gauge name";
-      return result;
-    }
-    ++i;
-    skip_ws(text, i);
-    const char* begin = text.c_str() + i;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) {
-      result.error = "expected numeric gauge value for " + name;
-      return result;
-    }
-    i += static_cast<std::size_t>(end - begin);
-    result.gauges[name] = value;
-    skip_ws(text, i);
-    if (i < text.size() && text[i] == ',') {
-      ++i;
-      skip_ws(text, i);
-      continue;
-    }
-    if (i < text.size() && text[i] == '}') {
-      result.ok = true;
-      return result;
-    }
-    result.error = "expected ',' or '}' in gauges object";
-    return result;
-  }
-  result.error = "unterminated gauges object";
-  return result;
-}
-
-GaugeScan load_gauges(const std::string& path) {
-  GaugeScan result;
+/// Reads the top-level "gauges" object of a metrics export. Throws
+/// std::runtime_error naming the file on unreadable or malformed JSON and
+/// naming the gauge on a non-number value (including the null the
+/// exporter writes for NaN/Inf).
+std::map<std::string, double> load_gauges(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.error = "cannot open " + path;
-    return result;
-  }
+  if (!in) throw std::runtime_error("cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  result = scan_gauges(buf.str());
-  if (!result.ok) result.error = path + ": " + result.error;
-  return result;
+  witag::obs::json::Value doc;
+  try {
+    doc = witag::obs::json::Value::parse(buf.str());
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+  if (!doc.is_object() || !doc.has("gauges")) {
+    throw std::runtime_error(path + ": no top-level \"gauges\" object");
+  }
+  const witag::obs::json::Value& gauges = doc.at("gauges");
+  if (!gauges.is_object()) {
+    throw std::runtime_error(path + ": \"gauges\" is not an object");
+  }
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : gauges.members()) {
+    if (!value.is_number()) {
+      throw std::runtime_error(path + ": expected numeric gauge value for " +
+                               name);
+    }
+    out[name] = value.as_number();
+  }
+  return out;
 }
 
 bool ends_with(const std::string& name, const std::string& suffix) {
@@ -213,14 +124,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const GaugeScan baseline = load_gauges(baseline_path);
-  if (!baseline.ok) {
-    std::cerr << "bench_compare: " << baseline.error << "\n";
-    return 2;
-  }
-  const GaugeScan current = load_gauges(current_path);
-  if (!current.ok) {
-    std::cerr << "bench_compare: " << current.error << "\n";
+  std::map<std::string, double> baseline;
+  std::map<std::string, double> current;
+  try {
+    baseline = load_gauges(baseline_path);
+    current = load_gauges(current_path);
+  } catch (const std::runtime_error& e) {
+    std::cerr << "bench_compare: " << e.what() << "\n";
     return 2;
   }
 
@@ -236,9 +146,9 @@ int main(int argc, char** argv) {
   std::size_t pinned = 0;
   std::vector<Failure> failures;
   std::vector<std::string> improvements;
-  for (const auto& [name, base] : baseline.gauges) {
+  for (const auto& [name, base] : baseline) {
     if (is_quantile_gauge(name)) {
-      if (current.gauges.find(name) == current.gauges.end()) {
+      if (current.find(name) == current.end()) {
         std::cout << "  skip " << name
                   << ": quantile gauge absent from current (not gated)\n";
       }
@@ -246,8 +156,8 @@ int main(int argc, char** argv) {
     }
     if (!is_pinned(name)) continue;
     ++pinned;
-    const auto it = current.gauges.find(name);
-    if (it == current.gauges.end()) {
+    const auto it = current.find(name);
+    if (it == current.end()) {
       failures.push_back({std::numeric_limits<double>::infinity(),
                           name + ": missing from current run"});
       continue;
@@ -276,9 +186,9 @@ int main(int argc, char** argv) {
   }
   // New pinned-shaped gauges in the current run are not gated (the
   // baseline predates them) but should not slip by silently either.
-  for (const auto& [name, cur] : current.gauges) {
+  for (const auto& [name, cur] : current) {
     if (!is_pinned(name)) continue;
-    if (baseline.gauges.find(name) == baseline.gauges.end()) {
+    if (baseline.find(name) == baseline.end()) {
       std::cout << "  note new pinned gauge not in baseline (add on next "
                    "refresh): " << name << " = " << cur << " ns\n";
     }

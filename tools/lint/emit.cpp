@@ -1,24 +1,23 @@
 // Output side of the analyzer: baseline fingerprints, SARIF 2.1
 // emission, structural SARIF validation and GitHub annotations.
 //
-// SARIF is hand-rolled (the repo takes no dependencies): write_sarif
-// emits exactly the subset CI consumes — tool.driver.rules metadata
-// plus results with ruleId/level/message/physicalLocation — and
-// check_sarif re-parses the emitted file with a small recursive-descent
-// JSON parser and asserts the 2.1 structural requirements, so the
+// SARIF is hand-laid-out text (the repo takes no dependencies):
+// write_sarif emits exactly the subset CI consumes — tool.driver.rules
+// metadata plus results with ruleId/level/message/physicalLocation —
+// and check_sarif re-reads the emitted file with the repo's one JSON
+// reader, obs::json, and asserts the 2.1 structural requirements, so the
 // "validates against the SARIF 2.1 schema" CTest is a real round-trip
-// through an independent parser rather than trust in the writer.
-#include <algorithm>
+// through a parser rather than trust in the writer.
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "lint.hpp"
+#include "obs/json.hpp"
 
 namespace witag::lint {
 namespace {
@@ -37,29 +36,6 @@ std::string hex64(std::uint64_t v) {
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
     v >>= 4;
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }
@@ -133,9 +109,9 @@ bool write_sarif(const std::filesystem::path& path,
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const auto d = desc.find(rules[i]);
     out << "            {\n"
-        << "              \"id\": \"" << json_escape(rules[i]) << "\",\n"
+        << "              \"id\": \"" << obs::json::escape(rules[i]) << "\",\n"
         << "              \"shortDescription\": {\"text\": \""
-        << json_escape(d == desc.end() ? rules[i] : d->second) << "\"}\n"
+        << obs::json::escape(d == desc.end() ? rules[i] : d->second) << "\"}\n"
         << "            }" << (i + 1 < rules.size() ? "," : "") << "\n";
   }
   out << "          ]\n"
@@ -146,16 +122,16 @@ bool write_sarif(const std::filesystem::path& path,
     const Finding& f = findings[i];
     const std::size_t line = f.line == 0 ? 1 : f.line;
     out << "        {\n"
-        << "          \"ruleId\": \"" << json_escape(f.rule) << "\",\n"
+        << "          \"ruleId\": \"" << obs::json::escape(f.rule) << "\",\n"
         << "          \"ruleIndex\": " << rule_index[f.rule] << ",\n"
         << "          \"level\": \"error\",\n"
-        << "          \"message\": {\"text\": \"" << json_escape(f.message)
-        << "\"},\n"
+        << "          \"message\": {\"text\": \""
+        << obs::json::escape(f.message) << "\"},\n"
         << "          \"locations\": [\n"
         << "            {\n"
         << "              \"physicalLocation\": {\n"
         << "                \"artifactLocation\": {\"uri\": \""
-        << json_escape(f.file) << "\"},\n"
+        << obs::json::escape(f.file) << "\"},\n"
         << "                \"region\": {\"startLine\": " << line << "}\n"
         << "              }\n"
         << "            }\n"
@@ -169,227 +145,24 @@ bool write_sarif(const std::filesystem::path& path,
   return static_cast<bool>(out);
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON model + recursive-descent parser for check_sarif. Parses
-// the full JSON grammar (objects, arrays, strings with escapes, numbers,
-// bools, null); numbers are kept as doubles, which is exact for every
-// line number SARIF will ever carry.
-
 namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
+using obs::json::Value;
 
-  const JsonValue* get(const std::string& key) const {
-    if (kind != Kind::kObject) return nullptr;
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    pos_ = 0;
-    if (!value(out, error)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing content at byte " + std::to_string(pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool fail(std::string& error, const std::string& what) {
-    error = what + " at byte " + std::to_string(pos_);
-    return false;
-  }
-
-  bool literal(const char* word, std::string& error) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return fail(error, std::string("expected '") + word + "'");
-      }
-    }
-    return true;
-  }
-
-  bool string(std::string& out, std::string& error) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return fail(error, "expected string");
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail(error, "bad escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return fail(error, "bad \\u");
-            // Decode but keep ASCII only; non-ASCII becomes '?', which
-            // is fine for structural validation.
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail(error, "bad \\u digit");
-            }
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            return fail(error, "unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool value(JsonValue& out, std::string& error) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail(error, "unexpected end");
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string(key, error)) return false;
-        skip_ws();
-        if (pos_ >= text_.size() || text_[pos_] != ':') {
-          return fail(error, "expected ':'");
-        }
-        ++pos_;
-        JsonValue v;
-        if (!value(v, error)) return false;
-        out.object.emplace(std::move(key), std::move(v));
-        skip_ws();
-        if (pos_ >= text_.size()) return fail(error, "unterminated object");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return fail(error, "expected ',' or '}'");
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue v;
-        if (!value(v, error)) return false;
-        out.array.push_back(std::move(v));
-        skip_ws();
-        if (pos_ >= text_.size()) return fail(error, "unterminated array");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return fail(error, "expected ',' or ']'");
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.str, error);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return literal("true", error);
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return literal("false", error);
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return literal("null", error);
-    }
-    // Number.
-    const std::size_t start = pos_;
-    if (c == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail(error, "unexpected character");
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue* require(const JsonValue* v, const std::string& key,
-                         JsonValue::Kind kind, const std::string& where,
-                         std::vector<std::string>& errors) {
+const Value* require(const Value* v, const std::string& key,
+                     Value::Kind kind, const std::string& where,
+                     std::vector<std::string>& errors) {
   if (v == nullptr) return nullptr;
-  const JsonValue* child = v->get(key);
-  if (child == nullptr) {
+  if (!v->is_object() || !v->has(key)) {
     errors.push_back(where + ": missing required property '" + key + "'");
     return nullptr;
   }
-  if (child->kind != kind) {
+  const Value& child = v->at(key);
+  if (child.kind() != kind) {
     errors.push_back(where + ": property '" + key + "' has wrong type");
     return nullptr;
   }
-  return child;
+  return &child;
 }
 
 }  // namespace
@@ -403,106 +176,99 @@ bool check_sarif(const std::filesystem::path& path,
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
 
-  JsonValue root;
-  std::string perr;
-  if (!JsonParser(text).parse(root, perr)) {
-    errors.push_back("JSON parse error: " + perr);
+  Value root;
+  try {
+    root = Value::parse(buf.str());
+  } catch (const std::invalid_argument& e) {
+    errors.push_back(std::string("JSON parse error: ") + e.what());
     return false;
   }
-  if (root.kind != JsonValue::Kind::kObject) {
+  if (!root.is_object()) {
     errors.push_back("top level is not an object");
     return false;
   }
 
-  using K = JsonValue::Kind;
-  const JsonValue* schema = require(&root, "$schema", K::kString, "sarifLog",
-                                    errors);
+  using K = Value::Kind;
+  const Value* schema =
+      require(&root, "$schema", K::kString, "sarifLog", errors);
   if (schema != nullptr &&
-      schema->str.find("sarif") == std::string::npos) {
+      schema->as_string().find("sarif") == std::string::npos) {
     errors.push_back("$schema does not reference a SARIF schema");
   }
-  const JsonValue* version =
+  const Value* version =
       require(&root, "version", K::kString, "sarifLog", errors);
-  if (version != nullptr && version->str != "2.1.0") {
-    errors.push_back("version is '" + version->str + "', expected '2.1.0'");
+  if (version != nullptr && version->as_string() != "2.1.0") {
+    errors.push_back("version is '" + version->as_string() +
+                     "', expected '2.1.0'");
   }
-  const JsonValue* runs = require(&root, "runs", K::kArray, "sarifLog",
-                                  errors);
+  const Value* runs = require(&root, "runs", K::kArray, "sarifLog", errors);
   if (runs == nullptr) return errors.empty();
-  if (runs->array.empty()) {
+  if (runs->size() == 0) {
     errors.push_back("runs is empty");
     return false;
   }
 
-  for (std::size_t r = 0; r < runs->array.size(); ++r) {
+  for (std::size_t r = 0; r < runs->size(); ++r) {
     const std::string where = "runs[" + std::to_string(r) + "]";
-    const JsonValue* run = &runs->array[r];
-    const JsonValue* tool =
-        require(run, "tool", K::kObject, where, errors);
-    const JsonValue* driver =
+    const Value* run = &(*runs)[r];
+    const Value* tool = require(run, "tool", K::kObject, where, errors);
+    const Value* driver =
         require(tool, "driver", K::kObject, where + ".tool", errors);
     require(driver, "name", K::kString, where + ".tool.driver", errors);
     std::set<std::string> rule_ids;
-    if (const JsonValue* rules = require(driver, "rules", K::kArray,
-                                         where + ".tool.driver", errors)) {
-      for (std::size_t i = 0; i < rules->array.size(); ++i) {
+    if (const Value* rules = require(driver, "rules", K::kArray,
+                                     where + ".tool.driver", errors)) {
+      for (std::size_t i = 0; i < rules->size(); ++i) {
         const std::string rw =
             where + ".tool.driver.rules[" + std::to_string(i) + "]";
-        if (const JsonValue* id = require(&rules->array[i], "id", K::kString,
-                                          rw, errors)) {
-          rule_ids.insert(id->str);
+        if (const Value* id =
+                require(&(*rules)[i], "id", K::kString, rw, errors)) {
+          rule_ids.insert(id->as_string());
         }
       }
     }
-    const JsonValue* results =
-        require(run, "results", K::kArray, where, errors);
+    const Value* results = require(run, "results", K::kArray, where, errors);
     if (results == nullptr) continue;
-    for (std::size_t i = 0; i < results->array.size(); ++i) {
+    for (std::size_t i = 0; i < results->size(); ++i) {
       const std::string rw = where + ".results[" + std::to_string(i) + "]";
-      const JsonValue* res = &results->array[i];
-      if (const JsonValue* rid =
-              require(res, "ruleId", K::kString, rw, errors)) {
-        if (!rule_ids.empty() && rule_ids.count(rid->str) == 0) {
-          errors.push_back(rw + ": ruleId '" + rid->str +
+      const Value* res = &(*results)[i];
+      if (const Value* rid = require(res, "ruleId", K::kString, rw, errors)) {
+        if (!rule_ids.empty() && rule_ids.count(rid->as_string()) == 0) {
+          errors.push_back(rw + ": ruleId '" + rid->as_string() +
                            "' not declared in tool.driver.rules");
         }
       }
-      if (const JsonValue* level =
-              require(res, "level", K::kString, rw, errors)) {
-        if (level->str != "error" && level->str != "warning" &&
-            level->str != "note" && level->str != "none") {
-          errors.push_back(rw + ": level '" + level->str +
-                           "' is not a SARIF level");
+      if (const Value* level = require(res, "level", K::kString, rw, errors)) {
+        const std::string& lv = level->as_string();
+        if (lv != "error" && lv != "warning" && lv != "note" && lv != "none") {
+          errors.push_back(rw + ": level '" + lv + "' is not a SARIF level");
         }
       }
-      const JsonValue* msg =
-          require(res, "message", K::kObject, rw, errors);
+      const Value* msg = require(res, "message", K::kObject, rw, errors);
       require(msg, "text", K::kString, rw + ".message", errors);
-      const JsonValue* locs =
-          require(res, "locations", K::kArray, rw, errors);
-      if (locs == nullptr || locs->array.empty()) {
+      const Value* locs = require(res, "locations", K::kArray, rw, errors);
+      if (locs == nullptr || locs->size() == 0) {
         if (locs != nullptr) errors.push_back(rw + ": locations is empty");
         continue;
       }
-      const JsonValue* phys =
-          require(&locs->array[0], "physicalLocation", K::kObject,
+      const Value* phys =
+          require(&(*locs)[0], "physicalLocation", K::kObject,
                   rw + ".locations[0]", errors);
-      const JsonValue* art =
+      const Value* art =
           require(phys, "artifactLocation", K::kObject,
                   rw + ".locations[0].physicalLocation", errors);
       require(art, "uri", K::kString,
               rw + ".locations[0].physicalLocation.artifactLocation",
               errors);
-      const JsonValue* region =
+      const Value* region =
           require(phys, "region", K::kObject,
                   rw + ".locations[0].physicalLocation", errors);
-      if (const JsonValue* sl =
+      if (const Value* sl =
               require(region, "startLine", K::kNumber,
                       rw + ".locations[0].physicalLocation.region",
                       errors)) {
-        if (sl->number < 1) {
+        if (sl->as_number() < 1) {
           errors.push_back(rw + ": startLine must be >= 1");
         }
       }

@@ -29,8 +29,10 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -61,28 +63,41 @@ struct TailState {
   MetricsRecord last;
 };
 
+/// A count field: a number that fits a uint64 (the cast is undefined
+/// otherwise), else std::invalid_argument.
+std::uint64_t as_count(const Value& v) {
+  const double x = v.as_number();
+  if (!(x >= 0.0 && x < 0x1p64)) {
+    throw std::invalid_argument("json: not a count");
+  }
+  return static_cast<std::uint64_t>(x);
+}
+
+/// Throws std::logic_error / std::invalid_argument on a field of the
+/// wrong kind. A null counter, gauge or hdr value (the streamer writes
+/// null for a non-finite number) is skipped; the rest of the record is
+/// kept.
 MetricsRecord parse_metrics(const Value& doc) {
   MetricsRecord rec;
-  if (doc.has("seq")) rec.seq = static_cast<std::uint64_t>(doc.at("seq").as_number());
+  if (doc.has("seq")) rec.seq = as_count(doc.at("seq"));
   if (doc.has("ts_us")) rec.ts_us = doc.at("ts_us").as_number();
   if (doc.has("counters")) {
     for (const auto& [name, v] : doc.at("counters").members()) {
-      rec.counters[name] = v.as_number();
+      if (!v.is_null()) rec.counters[name] = v.as_number();
     }
   }
   if (doc.has("gauges")) {
     for (const auto& [name, v] : doc.at("gauges").members()) {
-      rec.gauges[name] = v.as_number();
+      if (!v.is_null()) rec.gauges[name] = v.as_number();
     }
   }
   if (doc.has("spans_dropped")) {
-    rec.spans_dropped =
-        static_cast<std::uint64_t>(doc.at("spans_dropped").as_number());
+    rec.spans_dropped = as_count(doc.at("spans_dropped"));
   }
   if (doc.has("hdr")) {
     for (const auto& [name, h] : doc.at("hdr").members()) {
       for (const auto& [k, v] : h.members()) {
-        rec.hdr[name][k] = v.as_number();
+        if (!v.is_null()) rec.hdr[name][k] = v.as_number();
       }
     }
   }
@@ -163,32 +178,35 @@ void print_summary(const TailState& st) {
 }
 
 /// Consumes one JSONL line into the running state. Returns false on a
-/// parse failure (counted, not fatal: a live tail can race a write).
+/// line that is not JSON, not an object, or has a field of the wrong
+/// kind (counted in parse_errors, not fatal: a live tail can race a
+/// write).
 bool consume_line(TailState& st, const std::string& line,
                   bool live, const std::string& headline) {
   if (line.empty()) return true;
   ++st.lines;
-  Value doc;
   try {
-    doc = Value::parse(line);
+    const Value doc = Value::parse(line);
+    const std::string type =
+        doc.has("type") ? doc.at("type").as_string() : "";
+    if (type == "meta") {
+      if (doc.has("bench")) st.bench = doc.at("bench").as_string();
+    } else if (type == "span") {
+      ++st.spans;
+    } else if (type == "metrics" || type == "final") {
+      MetricsRecord rec = parse_metrics(doc);
+      if (st.metrics_records > 0) {
+        st.prev = st.last;
+        st.have_prev = true;
+      }
+      st.last = std::move(rec);
+      ++st.metrics_records;
+      if (type == "final") st.saw_final = true;
+      if (live) print_readout(st, headline);
+    }
   } catch (const std::exception&) {
     ++st.parse_errors;
     return false;
-  }
-  const std::string type = doc.has("type") ? doc.at("type").as_string() : "";
-  if (type == "meta") {
-    if (doc.has("bench")) st.bench = doc.at("bench").as_string();
-  } else if (type == "span") {
-    ++st.spans;
-  } else if (type == "metrics" || type == "final") {
-    if (st.metrics_records > 0) {
-      st.prev = st.last;
-      st.have_prev = true;
-    }
-    st.last = parse_metrics(doc);
-    ++st.metrics_records;
-    if (type == "final") st.saw_final = true;
-    if (live) print_readout(st, headline);
   }
   return true;
 }
