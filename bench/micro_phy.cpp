@@ -177,6 +177,21 @@ void BM_ViterbiAcsSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiAcsSimd);
 
+// One decode at the length of a fig5 round's data field: 64 subframes
+// at MCS 5 make a 6656-byte PSDU, so 16 service + 53 248 PSDU + 6 tail
+// = 53 270 info bits. The sizes above keep their decisions in L1; this
+// one carries a real round's decision memory (8 B per step). Unpinned.
+void BM_ViterbiAmpdu(benchmark::State& state) {
+  const std::vector<double> llrs = viterbi_bench_llrs(53'270);
+  phy::ViterbiWorkspace ws;
+  util::BitVec bits;
+  for (auto _ : state) {
+    phy::viterbi_decode(llrs, ws, bits);
+    benchmark::DoNotOptimize(bits.data());
+  }
+}
+BENCHMARK(BM_ViterbiAmpdu);
+
 // Equalizer over one OFDM data symbol (52 subcarriers + 4 pilots):
 // dispatched kernel at the best tier, pinned-scalar kernel, and the
 // original std::complex-division loop. The best/scalar pair isolates

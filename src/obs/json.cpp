@@ -154,7 +154,11 @@ class Parser {
       }
       return n;
     };
+    const std::size_t int_start = pos_;
     if (digits() == 0) fail("expected number", start);
+    if (text_[int_start] == '0' && pos_ - int_start > 1) {
+      fail("leading zero", int_start + 1);
+    }
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       if (digits() == 0) fail("expected fraction digits", pos_);

@@ -82,39 +82,26 @@ std::array<Cx, kNumPilots> extract_pilots(const FreqSymbol& symbol) {
 }
 
 util::CxVec to_time(const FreqSymbol& symbol) {
-  util::CxVec work;
+  WITAG_SPAN_CAT("phy.ofdm.to_time", "phy");
+  WITAG_COUNT("phy.ofdm.to_time.calls", 1);
+  util::CxVec work(symbol.begin(), symbol.end());
+  ifft_inplace(work);
+  // Cyclic prefix: last kCpLen samples first.
   util::CxVec samples(kSamplesPerSymbol);
-  to_time_into(symbol, work, samples);
+  std::copy(work.end() - kCpLen, work.end(), samples.begin());
+  std::copy(work.begin(), work.end(), samples.begin() + kCpLen);
   return samples;
 }
 
 FreqSymbol from_time(std::span<const Cx> samples) {
-  util::CxVec work;
-  FreqSymbol symbol{};
-  from_time_into(samples, work, symbol);
-  return symbol;
-}
-
-void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
-                  std::span<Cx> out) {
-  WITAG_SPAN_CAT("phy.ofdm.to_time", "phy");
-  WITAG_COUNT("phy.ofdm.to_time.calls", 1);
-  WITAG_REQUIRE(out.size() == kSamplesPerSymbol);
-  work.assign(symbol.begin(), symbol.end());
-  ifft_inplace(work);
-  // Cyclic prefix: last kCpLen samples first.
-  std::copy(work.end() - kCpLen, work.end(), out.begin());
-  std::copy(work.begin(), work.end(), out.begin() + kCpLen);
-}
-
-void from_time_into(std::span<const Cx> samples, util::CxVec& work,
-                    FreqSymbol& out) {
   WITAG_SPAN_CAT("phy.ofdm.from_time", "phy");
   WITAG_COUNT("phy.ofdm.from_time.calls", 1);
   WITAG_REQUIRE(samples.size() == kSamplesPerSymbol);
-  work.assign(samples.begin() + kCpLen, samples.end());
+  util::CxVec work(samples.begin() + kCpLen, samples.end());
   fft_inplace(work);
-  std::copy(work.begin(), work.end(), out.begin());
+  FreqSymbol symbol{};
+  std::copy(work.begin(), work.end(), symbol.begin());
+  return symbol;
 }
 
 }  // namespace witag::phy

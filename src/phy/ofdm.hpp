@@ -59,12 +59,4 @@ util::CxVec to_time(const FreqSymbol& symbol);
 /// Requires exactly kSamplesPerSymbol samples.
 FreqSymbol from_time(std::span<const util::Cx> samples);
 
-/// Allocation-reusing variants for the hot sample paths: `work` is a
-/// caller-owned FFT buffer (grown once, reused across symbols). `out`
-/// must hold kSamplesPerSymbol samples for to_time_into.
-void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
-                  std::span<util::Cx> out);
-void from_time_into(std::span<const util::Cx> samples, util::CxVec& work,
-                    FreqSymbol& out);
-
 }  // namespace witag::phy

@@ -51,20 +51,26 @@ std::atomic<int> g_override{-1};
 // kernel must reproduce bit for bit).
 // ---------------------------------------------------------------------
 
-void acs_step_scalar(const double* cur, double* nxt, std::uint8_t* srow,
-                     double la, double lb) {
-  // pa[e] / pb[e] = metric contribution of a branch expecting bit e.
-  const double pa[2] = {la, -la};
-  const double pb[2] = {lb, -lb};
-  for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
-    const detail::Butterfly& bf = detail::kButterflies[ns];
-    // Same association as the reference: (metric + a) + b.
-    const double m0 = (cur[bf.s0] + pa[bf.a0]) + pb[bf.b0];
-    const double m1 = (cur[bf.s1] + pa[bf.a1]) + pb[bf.b1];
-    const bool take1 = m1 > m0;  // strict: ties keep the s0 branch
-    nxt[ns] = take1 ? m1 : m0;
-    srow[ns] = take1 ? bf.sv1 : bf.sv0;
-  }
+void acs_run_scalar(const double* llrs, std::size_t n_steps, double* metrics,
+                    std::uint64_t* dec) {
+  detail::run_trellis(
+      llrs, n_steps, metrics, dec,
+      [](const double* cur, double* nxt, double la, double lb) {
+        // pa[e] / pb[e] = metric contribution of a branch expecting bit e.
+        const double pa[2] = {la, -la};
+        const double pb[2] = {lb, -lb};
+        std::uint64_t word = 0;
+        for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
+          const detail::Butterfly& bf = detail::kButterflies[ns];
+          // Same association as the reference: (metric + a) + b.
+          const double m0 = (cur[bf.s0] + pa[bf.a0]) + pb[bf.b0];
+          const double m1 = (cur[bf.s1] + pa[bf.a1]) + pb[bf.b1];
+          const bool take1 = m1 > m0;  // strict: ties keep the s0 branch
+          nxt[ns] = take1 ? m1 : m0;
+          word |= static_cast<std::uint64_t>(take1) << ns;
+        }
+        return word;
+      });
 }
 
 void demap_block_scalar(const double* re, const double* im, const double* nv,
@@ -212,8 +218,8 @@ constexpr FftKernels kFftScalar{fft_radix4_pass_scalar, fft_len2_pass_scalar,
 // see them.
 namespace kernels {
 bool sse2_available();
-void acs_step_sse2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb);
+void acs_run_sse2(const double* llrs, std::size_t n_steps, double* metrics,
+                  std::uint64_t* dec);
 void demap_block_sse2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
@@ -222,8 +228,8 @@ void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
                          double* zi, double* nv);
 bool avx2_compiled();
 bool avx2_supported();
-void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb);
+void acs_run_avx2(const double* llrs, std::size_t n_steps, double* metrics,
+                  std::uint64_t* dec);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
@@ -275,18 +281,18 @@ ScopedTier::~ScopedTier() {
   g_override.store(previous_, std::memory_order_relaxed);
 }
 
-AcsStepFn acs_step_for(Tier t) {
+AcsRunFn acs_run_for(Tier t) {
   switch (t) {
     case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) return kernels::acs_step_avx2;
+      if (detect_best_tier() == Tier::kAvx2) return kernels::acs_run_avx2;
       [[fallthrough]];
     case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::acs_step_sse2;
+      if (kernels::sse2_available()) return kernels::acs_run_sse2;
       [[fallthrough]];
     case Tier::kScalar:
       break;
   }
-  return acs_step_scalar;
+  return acs_run_scalar;
 }
 
 DemapBlockFn demap_block_for(Tier t) {

@@ -61,16 +61,18 @@ class ScopedTier {
 // Viterbi add-compare-select.
 // ---------------------------------------------------------------------
 
-/// One trellis step over all 64 states: reads the current path metrics
-/// from `cur`, writes the next metrics to `nxt` and the survivor bytes
-/// to `srow` (64 entries each). `la`/`lb` are the step's two LLRs.
-/// `cur` and `nxt` must be 32-byte aligned and distinct.
-using AcsStepFn = void (*)(const double* cur, double* nxt,
-                           std::uint8_t* srow, double la, double lb);
+/// The whole forward pass over `n_steps` trellis steps: step t reads
+/// the LLR pair llrs[2t], llrs[2t + 1]. `metrics` holds the 64 path
+/// metrics (32-byte aligned); it carries the start metrics in and the
+/// end metrics out. dec[t] is step t's decision word: bit ns is set
+/// when next state ns took its odd predecessor (strict m1 > m0), so the
+/// survivor of ns is ((ns << 1) & 63) | bit and its input bit ns >> 5.
+using AcsRunFn = void (*)(const double* llrs, std::size_t n_steps,
+                          double* metrics, std::uint64_t* dec);
 
 /// The ACS kernel for a tier (always non-null; unavailable tiers fall
 /// back to the next lower implementation).
-AcsStepFn acs_step_for(Tier t);
+AcsRunFn acs_run_for(Tier t);
 
 // ---------------------------------------------------------------------
 // Soft demap (separable Gray-QAM, SoA inputs).

@@ -34,44 +34,55 @@ bool avx2_supported() {
 
 bool avx2_compiled() { return true; }
 
-void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  const __m256d la_v = _mm256_set1_pd(la);
-  const __m256d lb_v = _mm256_set1_pd(lb);
+void acs_run_avx2(const double* llrs, std::size_t n_steps, double* metrics,
+                  std::uint64_t* dec) {
   const detail::AcsSigns& sg = detail::kAcsSigns;
-  // Next-states ns and ns + 32 share predecessors cur[2*ns], cur[2*ns+1]
-  // (only the expected branch bits differ), so one even/odd gather of
-  // eight metrics feeds four states in each half of the state vector.
-  for (std::uint32_t j = 0; j < kNumStates / 2; j += 4) {
-    const __m256d v0 = _mm256_load_pd(cur + 2 * j);      // cur[2j .. 2j+3]
-    const __m256d v1 = _mm256_load_pd(cur + 2 * j + 4);  // cur[2j+4 .. 2j+7]
-    // In-lane unpack then a cross-lane permute yields the even/odd
-    // deinterleave: evens = cur[s0] for ns = j..j+3, odds = cur[s1].
-    const __m256d evens = _mm256_permute4x64_pd(
-        _mm256_unpacklo_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
-    const __m256d odds = _mm256_permute4x64_pd(
-        _mm256_unpackhi_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
-    for (std::uint32_t half = 0; half < 2; ++half) {
-      const std::uint32_t ns = j + half * (kNumStates / 2);
-      // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
-      // pa[e]/pb[e] tables, with the same (cur + pa) + pb association.
-      const __m256d pa0 = _mm256_xor_pd(la_v, _mm256_load_pd(&sg.a0[ns]));
-      const __m256d pb0 = _mm256_xor_pd(lb_v, _mm256_load_pd(&sg.b0[ns]));
-      const __m256d pa1 = _mm256_xor_pd(la_v, _mm256_load_pd(&sg.a1[ns]));
-      const __m256d pb1 = _mm256_xor_pd(lb_v, _mm256_load_pd(&sg.b1[ns]));
-      const __m256d m0 = _mm256_add_pd(_mm256_add_pd(evens, pa0), pb0);
-      const __m256d m1 = _mm256_add_pd(_mm256_add_pd(odds, pa1), pb1);
-      // Strict m1 > m0 (ordered): ties keep the s0 branch, like the
-      // scalar code.
-      const __m256d take1 = _mm256_cmp_pd(m1, m0, _CMP_GT_OQ);
-      _mm256_store_pd(nxt + ns, _mm256_blendv_pd(m0, m1, take1));
-      const int mask = _mm256_movemask_pd(take1);
-      for (std::uint32_t lane = 0; lane < 4; ++lane) {
-        srow[ns + lane] = static_cast<std::uint8_t>(
-            detail::kSurvivor0[ns + lane] + (((mask >> lane) & 1) ? 2 : 0));
-      }
-    }
-  }
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  detail::run_trellis(
+      llrs, n_steps, metrics, dec,
+      [&sg, sign](const double* cur, double* nxt, double la, double lb) {
+        const __m256d la_v = _mm256_set1_pd(la);
+        const __m256d lb_v = _mm256_set1_pd(lb);
+        std::uint64_t word = 0;
+        // Four butterflies per pass: next states ns..ns+3 and
+        // ns+32..ns+35 from predecessors cur[2ns .. 2ns+7].
+        for (std::uint32_t ns = 0; ns < kNumStates / 2; ns += 4) {
+          // Two 128-bit halves per register put cur[2ns], cur[2ns+1],
+          // cur[2ns+4], cur[2ns+5] beside cur[2ns+2] .. cur[2ns+7], so
+          // one in-lane unpack splits the s0 (even) from the s1 (odd)
+          // predecessors.
+          const __m256d c0145 = _mm256_insertf128_pd(
+              _mm256_castpd128_pd256(_mm_load_pd(cur + 2 * ns)),
+              _mm_load_pd(cur + 2 * ns + 4), 1);
+          const __m256d c2367 = _mm256_insertf128_pd(
+              _mm256_castpd128_pd256(_mm_load_pd(cur + 2 * ns + 2)),
+              _mm_load_pd(cur + 2 * ns + 6), 1);
+          const __m256d evens = _mm256_unpacklo_pd(c0145, c2367);
+          const __m256d odds = _mm256_unpackhi_pd(c0145, c2367);
+          // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
+          // pa[e]/pb[e] tables (see detail::AcsSigns for the symmetry).
+          const __m256d pa = _mm256_xor_pd(la_v, _mm256_load_pd(&sg.a[ns]));
+          const __m256d pb = _mm256_xor_pd(lb_v, _mm256_load_pd(&sg.b[ns]));
+          const __m256d na = _mm256_xor_pd(pa, sign);
+          const __m256d nb = _mm256_xor_pd(pb, sign);
+          // Same (cur + pa) + pb association as the scalar code.
+          const __m256d lo0 = _mm256_add_pd(_mm256_add_pd(evens, pa), pb);
+          const __m256d lo1 = _mm256_add_pd(_mm256_add_pd(odds, na), nb);
+          const __m256d hi0 = _mm256_add_pd(_mm256_add_pd(evens, na), nb);
+          const __m256d hi1 = _mm256_add_pd(_mm256_add_pd(odds, pa), pb);
+          // Strict m1 > m0 (ordered): ties keep the s0 branch, like the
+          // scalar code. vmaxpd(a, b) is defined as a > b ? a : b (b on
+          // ties, signed zeros and NaN), so it is that select exactly.
+          _mm256_store_pd(nxt + ns, _mm256_max_pd(lo1, lo0));
+          _mm256_store_pd(nxt + ns + kNumStates / 2, _mm256_max_pd(hi1, hi0));
+          const auto lo_bits = static_cast<std::uint64_t>(
+              _mm256_movemask_pd(_mm256_cmp_pd(lo1, lo0, _CMP_GT_OQ)));
+          const auto hi_bits = static_cast<std::uint64_t>(
+              _mm256_movemask_pd(_mm256_cmp_pd(hi1, hi0, _CMP_GT_OQ)));
+          word |= (lo_bits << ns) | (hi_bits << (ns + kNumStates / 2));
+        }
+        return word;
+      });
 }
 
 void demap_block_avx2(const double* re, const double* im, const double* nv,
@@ -332,9 +343,9 @@ void deinterleave_avx2(const double* in, const std::int32_t* map,
 
 bool avx2_compiled() { return false; }
 
-void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  acs_step_for(Tier::kSse2)(cur, nxt, srow, la, lb);
+void acs_run_avx2(const double* llrs, std::size_t n_steps, double* metrics,
+                  std::uint64_t* dec) {
+  acs_run_for(Tier::kSse2)(llrs, n_steps, metrics, dec);
 }
 
 void demap_block_avx2(const double* re, const double* im, const double* nv,

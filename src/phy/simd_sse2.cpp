@@ -24,41 +24,47 @@ namespace witag::phy::simd::kernels {
 
 bool sse2_available() { return true; }
 
-void acs_step_sse2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  const __m128d la_v = _mm_set1_pd(la);
-  const __m128d lb_v = _mm_set1_pd(lb);
+void acs_run_sse2(const double* llrs, std::size_t n_steps, double* metrics,
+                  std::uint64_t* dec) {
   const detail::AcsSigns& sg = detail::kAcsSigns;
-  // Next-states ns and ns + 32 share predecessors cur[2*ns], cur[2*ns+1]
-  // (only the expected branch bits differ), so one gather of the
-  // even/odd metric pair feeds both halves of the state vector.
-  for (std::uint32_t j = 0; j < kNumStates / 2; j += 2) {
-    const __m128d v0 = _mm_load_pd(cur + 2 * j);      // cur[2j], cur[2j+1]
-    const __m128d v1 = _mm_load_pd(cur + 2 * j + 2);  // cur[2j+2], cur[2j+3]
-    const __m128d evens = _mm_unpacklo_pd(v0, v1);    // cur[s0] for ns=j,j+1
-    const __m128d odds = _mm_unpackhi_pd(v0, v1);     // cur[s1]
-    for (std::uint32_t half = 0; half < 2; ++half) {
-      const std::uint32_t ns = j + half * (kNumStates / 2);
-      // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
-      // pa[e]/pb[e] tables, with the same (cur + pa) + pb association.
-      const __m128d pa0 = _mm_xor_pd(la_v, _mm_load_pd(&sg.a0[ns]));
-      const __m128d pb0 = _mm_xor_pd(lb_v, _mm_load_pd(&sg.b0[ns]));
-      const __m128d pa1 = _mm_xor_pd(la_v, _mm_load_pd(&sg.a1[ns]));
-      const __m128d pb1 = _mm_xor_pd(lb_v, _mm_load_pd(&sg.b1[ns]));
-      const __m128d m0 = _mm_add_pd(_mm_add_pd(evens, pa0), pb0);
-      const __m128d m1 = _mm_add_pd(_mm_add_pd(odds, pa1), pb1);
-      // Strict m1 > m0: ties keep the s0 branch, like the scalar code.
-      const __m128d take1 = _mm_cmpgt_pd(m1, m0);
-      const __m128d best = _mm_or_pd(_mm_and_pd(take1, m1),
-                                     _mm_andnot_pd(take1, m0));
-      _mm_store_pd(nxt + ns, best);
-      const int mask = _mm_movemask_pd(take1);
-      srow[ns] = static_cast<std::uint8_t>(
-          detail::kSurvivor0[ns] + 2 * (mask & 1));
-      srow[ns + 1] = static_cast<std::uint8_t>(
-          detail::kSurvivor0[ns + 1] + ((mask & 2) ? 2 : 0));
-    }
-  }
+  const __m128d sign = _mm_set1_pd(-0.0);
+  detail::run_trellis(
+      llrs, n_steps, metrics, dec,
+      [&sg, sign](const double* cur, double* nxt, double la, double lb) {
+        const __m128d la_v = _mm_set1_pd(la);
+        const __m128d lb_v = _mm_set1_pd(lb);
+        std::uint64_t word = 0;
+        // Two butterflies per pass: next states ns, ns+1 and ns+32,
+        // ns+33 from predecessors cur[2ns .. 2ns+3].
+        for (std::uint32_t ns = 0; ns < kNumStates / 2; ns += 2) {
+          const __m128d v0 = _mm_load_pd(cur + 2 * ns);
+          const __m128d v1 = _mm_load_pd(cur + 2 * ns + 2);
+          const __m128d evens = _mm_unpacklo_pd(v0, v1);  // cur[s0]
+          const __m128d odds = _mm_unpackhi_pd(v0, v1);   // cur[s1]
+          // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
+          // pa[e]/pb[e] tables (see detail::AcsSigns for the symmetry).
+          const __m128d pa = _mm_xor_pd(la_v, _mm_load_pd(&sg.a[ns]));
+          const __m128d pb = _mm_xor_pd(lb_v, _mm_load_pd(&sg.b[ns]));
+          const __m128d na = _mm_xor_pd(pa, sign);
+          const __m128d nb = _mm_xor_pd(pb, sign);
+          // Same (cur + pa) + pb association as the scalar code.
+          const __m128d lo0 = _mm_add_pd(_mm_add_pd(evens, pa), pb);
+          const __m128d lo1 = _mm_add_pd(_mm_add_pd(odds, na), nb);
+          const __m128d hi0 = _mm_add_pd(_mm_add_pd(evens, na), nb);
+          const __m128d hi1 = _mm_add_pd(_mm_add_pd(odds, pa), pb);
+          // Strict m1 > m0: ties keep the s0 branch, like the scalar
+          // code. maxpd(a, b) is defined as a > b ? a : b (b on ties,
+          // signed zeros and NaN), so it is that select exactly.
+          _mm_store_pd(nxt + ns, _mm_max_pd(lo1, lo0));
+          _mm_store_pd(nxt + ns + kNumStates / 2, _mm_max_pd(hi1, hi0));
+          const auto lo_bits = static_cast<std::uint64_t>(
+              _mm_movemask_pd(_mm_cmpgt_pd(lo1, lo0)));
+          const auto hi_bits = static_cast<std::uint64_t>(
+              _mm_movemask_pd(_mm_cmpgt_pd(hi1, hi0)));
+          word |= (lo_bits << ns) | (hi_bits << (ns + kNumStates / 2));
+        }
+        return word;
+      });
 }
 
 void demap_block_sse2(const double* re, const double* im, const double* nv,
@@ -185,9 +191,9 @@ void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
 
 bool sse2_available() { return false; }
 
-void acs_step_sse2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  acs_step_for(Tier::kScalar)(cur, nxt, srow, la, lb);
+void acs_run_sse2(const double* llrs, std::size_t n_steps, double* metrics,
+                  std::uint64_t* dec) {
+  acs_run_for(Tier::kScalar)(llrs, n_steps, metrics, dec);
 }
 
 void demap_block_sse2(const double* re, const double* im, const double* nv,

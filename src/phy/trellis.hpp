@@ -7,7 +7,9 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "phy/convolutional.hpp"
 
@@ -47,10 +49,10 @@ inline constexpr Transitions kTrellis = make_transitions();
 // input u = ns >> 5. s0 < s1 always, which is exactly the order the
 // transition-oriented reference visits them in — so "prefer the s0
 // branch on metric ties" reproduces its strict-> update rule bit for
-// bit.
+// bit. One decision bit per next state (0 = s0, 1 = s1) therefore
+// names the survivor, and traceback rebuilds the predecessor from it.
 struct Butterfly {
   std::uint8_t s0, s1;          // the two predecessor states
-  std::uint8_t sv0, sv1;        // survivor bytes (pred << 1) | input
   std::uint8_t a0, b0, a1, b1;  // expected coded bits per branch
 };
 
@@ -59,12 +61,9 @@ constexpr std::array<Butterfly, kNumStates> make_butterflies() {
   for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
     const std::uint32_t f0 = ns << 1;
     const std::uint32_t f1 = f0 | 1u;
-    const std::uint32_t u = ns >> 5;
     Butterfly& bf = bs[ns];
     bf.s0 = static_cast<std::uint8_t>(f0 & (kNumStates - 1));
     bf.s1 = static_cast<std::uint8_t>(f1 & (kNumStates - 1));
-    bf.sv0 = static_cast<std::uint8_t>((bf.s0 << 1) | u);
-    bf.sv1 = static_cast<std::uint8_t>((bf.s1 << 1) | u);
     bf.a0 = static_cast<std::uint8_t>(std::popcount(f0 & kGenPolyA) & 1);
     bf.b0 = static_cast<std::uint8_t>(std::popcount(f0 & kGenPolyB) & 1);
     bf.a1 = static_cast<std::uint8_t>(std::popcount(f1 & kGenPolyA) & 1);
@@ -86,42 +85,69 @@ inline constexpr std::array<Butterfly, kNumStates> kButterflies =
 inline constexpr double kSentinel = -1e300;
 inline constexpr double kSentinelThreshold = -1e290;
 
-// SoA companion to kButterflies for the vector ACS kernels. A branch
-// metric ±llr is the LLR with its sign bit XORed, so the expected-bit
-// flags become ±0.0 masks; negation-by-sign-flip is exact in IEEE-754,
-// making the vector branch metrics bit-identical to the scalar
-// `expected ? -llr : llr`. Survivor bytes need only sv0: s1 = s0 + 1
-// under the same input, so sv1 = sv0 + 2 always.
+// Both generators tap the register's first and last bit (f & 1 and
+// f & 64), which makes every butterfly symmetric: for ns < 32, next
+// states ns and ns + 32 share predecessors s0 = 2ns and s1 = 2ns + 1;
+// the s1 branch of ns and the s0 branch of ns + 32 expect the
+// complement of ns's s0 branch, and the s1 branch of ns + 32 expects the
+// same bits. One pair of expected bits per butterfly therefore drives
+// all four branches.
+constexpr bool butterflies_symmetric() {
+  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+    const Butterfly& lo = kButterflies[ns];
+    const Butterfly& hi = kButterflies[ns + kNumStates / 2];
+    if (lo.a1 != (lo.a0 ^ 1) || lo.b1 != (lo.b0 ^ 1) ||
+        hi.a0 != (lo.a0 ^ 1) || hi.b0 != (lo.b0 ^ 1) || hi.a1 != lo.a0 ||
+        hi.b1 != lo.b0 || hi.s0 != lo.s0 || hi.s1 != lo.s1) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(butterflies_symmetric());
+
+// Sign masks for the vector ACS kernels: a[ns] / b[ns] (ns < 32) is
+// -0.0 where ns's s0 branch expects a 1 bit. A branch metric ±llr is
+// the LLR with its sign bit XORed, and negation-by-sign-flip is exact
+// in IEEE-754, so the vector branch metrics are bit-identical to the
+// scalar `expected ? -llr : llr`; the complemented branches flip the
+// sign once more.
 struct AcsSigns {
-  alignas(32) std::array<double, kNumStates> a0{};
-  alignas(32) std::array<double, kNumStates> b0{};
-  alignas(32) std::array<double, kNumStates> a1{};
-  alignas(32) std::array<double, kNumStates> b1{};
+  alignas(32) std::array<double, kNumStates / 2> a{};
+  alignas(32) std::array<double, kNumStates / 2> b{};
 };
 
 constexpr AcsSigns make_acs_signs() {
   AcsSigns m;
-  for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
-    const Butterfly& bf = kButterflies[ns];
-    m.a0[ns] = bf.a0 ? -0.0 : 0.0;
-    m.b0[ns] = bf.b0 ? -0.0 : 0.0;
-    m.a1[ns] = bf.a1 ? -0.0 : 0.0;
-    m.b1[ns] = bf.b1 ? -0.0 : 0.0;
+  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+    m.a[ns] = kButterflies[ns].a0 ? -0.0 : 0.0;
+    m.b[ns] = kButterflies[ns].b0 ? -0.0 : 0.0;
   }
   return m;
 }
 
 inline constexpr AcsSigns kAcsSigns = make_acs_signs();
 
-constexpr std::array<std::uint8_t, kNumStates> make_survivor0() {
-  std::array<std::uint8_t, kNumStates> sv{};
-  for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
-    sv[ns] = kButterflies[ns].sv0;
+// The forward pass every ACS tier shares: `step(cur, nxt, la, lb)`
+// runs one trellis step from `cur` into `nxt` and returns its decision
+// word. Metrics ping-pong between the caller's `metrics` and a stack
+// buffer; after an odd step count the end metrics sit in the stack
+// buffer and are copied back. Instantiated once per tier TU (each
+// step is its own lambda type), so the step inlines with that TU's
+// instruction set.
+template <class Step>
+inline void run_trellis(const double* llrs, std::size_t n_steps,
+                        double* metrics, std::uint64_t* dec, Step step) {
+  alignas(32) double other[kNumStates];
+  double* cur = metrics;
+  double* nxt = other;
+  for (std::size_t t = 0; t < n_steps; ++t) {
+    dec[t] = step(cur, nxt, llrs[2 * t], llrs[2 * t + 1]);
+    double* const done = cur;
+    cur = nxt;
+    nxt = done;
   }
-  return sv;
+  if (cur != metrics) std::memcpy(metrics, cur, sizeof other);
 }
-
-inline constexpr std::array<std::uint8_t, kNumStates> kSurvivor0 =
-    make_survivor0();
 
 }  // namespace witag::phy::detail

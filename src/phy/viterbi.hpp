@@ -10,7 +10,8 @@
 //    as the readable specification and benchmark baseline.
 //  * viterbi_decode — predecessor-oriented butterflies over a flattened
 //    constexpr trellis with a large-finite sentinel metric (branchless
-//    add-compare-select) and flat survivor storage in a reusable
+//    add-compare-select), run as one SIMD kernel call per trellis, and
+//    one packed 64-bit decision word per step in a reusable
 //    ViterbiWorkspace, so steady-state decode performs zero heap
 //    allocations. See DESIGN.md §12 for the correctness argument.
 #pragma once
@@ -31,14 +32,16 @@ namespace witag::phy {
 /// Not thread-safe: use one workspace per thread.
 class ViterbiWorkspace {
  public:
-  /// Heap bytes currently reserved by the workspace.
-  std::size_t capacity_bytes() const { return survivor_.capacity(); }
+  /// Heap bytes currently reserved by the workspace (8 per step).
+  std::size_t capacity_bytes() const {
+    return decisions_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   friend void viterbi_decode(std::span<const double> llrs,
                              ViterbiWorkspace& ws, util::BitVec& out);
-  // survivor_[step * kNumStates + state] = (previous state << 1) | input.
-  std::vector<std::uint8_t> survivor_;
+  // decisions_[step] bit ns: next state ns took its odd predecessor.
+  std::vector<std::uint64_t> decisions_;
 };
 
 /// Decodes `llrs` (two per information bit at the mother rate) into
@@ -51,7 +54,7 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
 
 /// Convenience wrapper returning the decoded bits. Uses a thread-local
 /// workspace, so repeated calls still avoid steady-state allocations of
-/// the survivor storage (the returned vector is the only allocation).
+/// the decision storage (the returned vector is the only allocation).
 util::BitVec viterbi_decode(std::span<const double> llrs);
 
 namespace detail {

@@ -100,6 +100,25 @@ TEST_F(ObsJson, RejectsMalformedInput) {
               std::string::npos)
         << e.what();
   }
+  // JSON forbids leading zeros; a lone zero, -0 and 0.5 stay valid.
+  EXPECT_THROW(json::Value::parse("01000"), std::invalid_argument);
+  EXPECT_THROW(json::Value::parse("-01"), std::invalid_argument);
+  EXPECT_THROW(json::Value::parse("00"), std::invalid_argument);
+  EXPECT_THROW(json::Value::parse("{\"a\":01}"), std::invalid_argument);
+  EXPECT_EQ(json::Value::parse("0").as_number(), 0.0);
+  EXPECT_EQ(json::Value::parse("-0").as_number(), 0.0);
+  EXPECT_EQ(json::Value::parse("0.5").as_number(), 0.5);
+  EXPECT_EQ(json::Value::parse("0e2").as_number(), 0.0);
+  EXPECT_EQ(json::Value::parse("100").as_number(), 100.0);
+  // Reported at the digit that follows the zero.
+  try {
+    json::Value::parse("[1, 01000]");
+    ADD_FAILURE() << "01000 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("leading zero at byte 5"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ObsMetrics, CounterAccumulates) {

@@ -5,6 +5,9 @@
 // dead bins, erasures) where "almost equal" kernels diverge first.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -124,6 +127,108 @@ TEST(SimdParity, ViterbiEveryTierMatchesReference) {
       ASSERT_EQ(decoded, expect)
           << "trial " << trial << " n_info " << n_info << " regime "
           << trial % 5 << " tier " << phy::simd::tier_name(t);
+    }
+  }
+}
+
+/// A-MPDU-length trellises: a fig5 round decodes 53 270 info bits, far
+/// past the fuzz above, and the kernels run the whole trellis in one
+/// call. Odd and even step counts end in different halves of the
+/// kernels' metric ping-pong. Extreme noise (every LLR sign is chance)
+/// still leaves state 0 reachable (DESIGN.md §12.1), so the max-element
+/// fallback cannot fire here; the end metrics it would read are pinned
+/// by SimdParity.AcsRunMatchesForwardPassModel below.
+TEST(SimdParity, ViterbiLongTrellisEveryTierMatchesReference) {
+  struct Case {
+    std::size_t n_info;
+    int regime;
+  };
+  constexpr Case kCases[] = {{53'270, 1}, {50'001, 2}, {50'000, 4},
+                             {50'003, 3}};
+  const std::vector<Tier> tiers = runnable_tiers();
+  phy::ViterbiWorkspace ws;
+  BitVec decoded;
+  for (const Case& c : kCases) {
+    util::Rng rng(0x10'46'00 + c.n_info);
+    const BitVec info = random_info_bits(rng, c.n_info);
+    const BitVec coded = phy::convolutional_encode(info);
+    const std::vector<double> llrs = fuzz_llrs(rng, coded, c.regime);
+
+    const BitVec expect = phy::detail::viterbi_reference(llrs);
+    for (const Tier t : tiers) {
+      const phy::simd::ScopedTier pin(t);
+      phy::viterbi_decode(llrs, ws, decoded);
+      ASSERT_EQ(decoded, expect)
+          << "n_info " << c.n_info << " regime " << c.regime << " tier "
+          << phy::simd::tier_name(t);
+    }
+  }
+}
+
+using Metrics = std::array<double, phy::kNumStates>;
+
+/// Forward pass written from the encoder's definition, independent of
+/// the kernels' trellis tables: next state ns is entered from the 7-bit
+/// registers f = 2ns (k = 0) and 2ns + 1 (k = 1), whose top six bits are
+/// the predecessor f & 63; each branch scores (metric + ±la) + ±lb.
+void acs_model(std::span<const double> llrs, Metrics& metrics,
+               std::vector<std::uint64_t>& dec) {
+  dec.assign(llrs.size() / 2, 0);
+  Metrics next{};
+  for (std::size_t t = 0; t < dec.size(); ++t) {
+    const double la = llrs[2 * t];
+    const double lb = llrs[2 * t + 1];
+    for (std::uint32_t ns = 0; ns < phy::kNumStates; ++ns) {
+      double m[2];
+      for (std::uint32_t k = 0; k < 2; ++k) {
+        const std::uint32_t f = 2 * ns + k;
+        const double pa = (std::popcount(f & phy::kGenPolyA) & 1) ? -la : la;
+        const double pb = (std::popcount(f & phy::kGenPolyB) & 1) ? -lb : lb;
+        m[k] = (metrics[f & (phy::kNumStates - 1)] + pa) + pb;
+      }
+      const bool take1 = m[1] > m[0];
+      next[ns] = take1 ? m[1] : m[0];
+      dec[t] |= static_cast<std::uint64_t>(take1) << ns;
+    }
+    metrics = next;
+  }
+}
+
+/// The kernel contract itself: end metrics written back in place and one
+/// decision word per step, bit-identical to the model on every tier, for
+/// odd and even step counts (an odd count ends in the kernel's own
+/// buffer and must be copied back).
+TEST(SimdParity, AcsRunMatchesForwardPassModel) {
+  const std::vector<Tier> tiers = runnable_tiers();
+  std::vector<std::uint64_t> expect_dec;
+  std::vector<std::uint64_t> dec;
+  constexpr std::size_t kSteps[] = {1, 2, 7, 64, 50'001, 50'000};
+  std::uint64_t trial = 0;
+  for (const std::size_t n_steps : kSteps) {
+    for (int regime = 0; regime < 5; ++regime, ++trial) {
+      util::Rng rng(0xAC'50'00 + trial);
+      const BitVec coded =
+          phy::convolutional_encode(random_info_bits(rng, n_steps));
+      const std::vector<double> llrs = fuzz_llrs(rng, coded, regime);
+      Metrics start{};
+      for (double& m : start) m = rng.uniform(-50.0, 50.0);
+
+      Metrics expect_metrics = start;
+      acs_model(llrs, expect_metrics, expect_dec);
+      for (const Tier t : tiers) {
+        alignas(32) Metrics metrics = start;
+        dec.assign(n_steps, 0);
+        phy::simd::acs_run_for(t)(llrs.data(), n_steps, metrics.data(),
+                                  dec.data());
+        ASSERT_EQ(std::memcmp(metrics.data(), expect_metrics.data(),
+                              sizeof(Metrics)),
+                  0)
+            << "n_steps " << n_steps << " regime " << regime << " tier "
+            << phy::simd::tier_name(t);
+        ASSERT_EQ(dec, expect_dec)
+            << "n_steps " << n_steps << " regime " << regime << " tier "
+            << phy::simd::tier_name(t);
+      }
     }
   }
 }

@@ -99,7 +99,8 @@ TEST(ViterbiEquiv, WorkspaceReusesWithoutGrowing) {
   phy::viterbi_decode(llrs, ws, decoded);  // warm-up sizes the buffers
   EXPECT_EQ(decoded, info);
   const std::size_t warm_capacity = ws.capacity_bytes();
-  ASSERT_GT(warm_capacity, 0u);
+  // One packed 64-bit decision word per trellis step, nothing more.
+  ASSERT_EQ(warm_capacity, sizeof(std::uint64_t) * llrs.size() / 2);
 
   const std::uint64_t reuses_before =
       obs::counter("phy.viterbi.workspace_reuses").value();

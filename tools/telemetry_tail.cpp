@@ -14,14 +14,17 @@
 //
 // Options: <path> (positional or --in PATH), --follow / --once
 //          (default --once), --interval-ms N (follow poll period,
-//          default 200), --counter NAME (headline counter, default
-//          session.exchanges), --expect-metrics N (exit 1 unless at
-//          least N metrics/final records were seen — CI smoke
-//          assertion), --timeout-s S (follow gives up when no final
-//          record arrives in time; 0 = wait forever)
+//          0..3600000, default 200), --counter NAME (headline counter,
+//          default session.exchanges), --expect-metrics N (exit 1
+//          unless at least N metrics/final records were seen — CI smoke
+//          assertion; 0..1000000000), --timeout-s S (follow gives up
+//          when no final record arrives in time, 0..1000000; 0 = wait
+//          forever). A numeric value that is not one number in range is
+//          a usage error.
 //
 // Exit codes: 0 ok, 1 expectation failed / timeout, 2 usage or I/O.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -211,6 +214,31 @@ bool consume_line(TailState& st, const std::string& line,
   return true;
 }
 
+constexpr const char* kUsage =
+    "usage: telemetry_tail [--follow|--once] [--interval-ms N]"
+    " [--counter NAME] [--expect-metrics N] [--timeout-s S]"
+    " <stream.jsonl>\n";
+
+/// Reads a numeric flag value: the whole of `text` must be one number
+/// in [lo, hi] (whole when `integral`). Anything else — no digits,
+/// trailing bytes, NaN, overflow — is a usage error: exit 2.
+double flag_number(const char* flag, const std::string& text, double lo,
+                   double hi, bool integral) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || !(v >= lo && v <= hi) ||
+      (integral && v != std::floor(v))) {
+    std::cerr << "telemetry_tail: " << flag << " needs "
+              << (integral ? "a whole number" : "a number") << " in ["
+              << static_cast<long long>(lo) << ", "
+              << static_cast<long long>(hi) << "], got '" << text << "'\n"
+              << kUsage;
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,20 +265,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--in") {
       path = next("--in");
     } else if (arg == "--interval-ms") {
-      interval_ms = std::stod(next("--interval-ms"));
+      interval_ms =
+          flag_number("--interval-ms", next("--interval-ms"), 0.0, 3.6e6,
+                      false);
     } else if (arg == "--counter") {
       headline = next("--counter");
     } else if (arg == "--expect-metrics") {
-      expect_metrics = std::stol(next("--expect-metrics"));
+      expect_metrics = static_cast<long>(flag_number(
+          "--expect-metrics", next("--expect-metrics"), 0.0, 1e9, true));
     } else if (arg == "--timeout-s") {
-      timeout_s = std::stod(next("--timeout-s"));
+      timeout_s =
+          flag_number("--timeout-s", next("--timeout-s"), 0.0, 1e6, false);
     } else if (!arg.empty() && arg[0] != '-') {
       path = arg;
     } else {
-      std::cerr << "telemetry_tail: unknown flag " << arg << "\n"
-                << "usage: telemetry_tail [--follow|--once] [--interval-ms N]"
-                   " [--counter NAME] [--expect-metrics N] [--timeout-s S]"
-                   " <stream.jsonl>\n";
+      std::cerr << "telemetry_tail: unknown flag " << arg << "\n" << kUsage;
       return 2;
     }
   }
