@@ -192,11 +192,10 @@ void BM_ViterbiAmpdu(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiAmpdu);
 
-// Equalizer over one OFDM data symbol (52 subcarriers + 4 pilots):
-// dispatched kernel at the best tier, pinned-scalar kernel, and the
-// original std::complex-division loop. The best/scalar pair isolates
-// the SIMD win; scalar/reference isolates the separable-formula rewrite
-// (gather + real arithmetic vs per-point __divdc3 calls).
+// Equalizer over one OFDM data symbol (52 subcarriers + 4 pilots): the
+// separable real-arithmetic loop against the original std::complex
+// division loop (per-point __divdc3 calls). The equalizer has no vector
+// kernel; the Scalar suffix names the gauge pinned in BENCH_phy.json.
 void equalize_bench_inputs(phy::FreqSymbol& rx, phy::ChannelEstimate& est) {
   util::Rng rng(9);
   est = phy::ChannelEstimate{};
@@ -214,25 +213,11 @@ void equalize_bench_inputs(phy::FreqSymbol& rx, phy::ChannelEstimate& est) {
   est.mean_gain = 1.0;
 }
 
-void BM_Equalize(benchmark::State& state) {
-  phy::FreqSymbol rx{};
-  phy::ChannelEstimate est;
-  equalize_bench_inputs(rx, est);
-  phy::EqualizedSymbol out;
-  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
-  for (auto _ : state) {
-    phy::equalize_into(rx, est, 1, /*cpe_correction=*/true, out);
-    benchmark::DoNotOptimize(out.points.data());
-  }
-}
-BENCHMARK(BM_Equalize);
-
 void BM_EqualizeScalar(benchmark::State& state) {
   phy::FreqSymbol rx{};
   phy::ChannelEstimate est;
   equalize_bench_inputs(rx, est);
   phy::EqualizedSymbol out;
-  const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
   for (auto _ : state) {
     phy::equalize_into(rx, est, 1, /*cpe_correction=*/true, out);
     benchmark::DoNotOptimize(out.points.data());
@@ -251,8 +236,8 @@ void BM_EqualizeReference(benchmark::State& state) {
 }
 BENCHMARK(BM_EqualizeReference);
 
-// LLR deinterleave over one 64-QAM symbol (312 LLRs, the widest map):
-// dispatched gather kernel at the best tier vs pinned scalar.
+// LLR deinterleave over one 64-QAM symbol (312 LLRs, the widest map),
+// a plain gather loop; the Scalar suffix names the pinned gauge.
 std::vector<double> deinterleave_bench_llrs() {
   util::Rng rng(10);
   std::vector<double> llrs(phy::kDataSubcarriers *
@@ -261,21 +246,9 @@ std::vector<double> deinterleave_bench_llrs() {
   return llrs;
 }
 
-void BM_Deinterleave(benchmark::State& state) {
-  const std::vector<double> llrs = deinterleave_bench_llrs();
-  std::vector<double> out;
-  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
-  for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Deinterleave);
-
 void BM_DeinterleaveScalar(benchmark::State& state) {
   const std::vector<double> llrs = deinterleave_bench_llrs();
   std::vector<double> out;
-  const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
   for (auto _ : state) {
     phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
     benchmark::DoNotOptimize(out.data());

@@ -8,7 +8,6 @@
 
 #include "obs/obs.hpp"
 #include "phy/preamble.hpp"
-#include "phy/simd.hpp"
 #include "util/require.hpp"
 
 namespace witag::phy {
@@ -18,8 +17,8 @@ using util::Cx;
 
 // Floor on |h|^2 to keep equalization of a faded bin from producing
 // non-finite values; such bins get an enormous noise variance instead.
-// The kernel path uses the identical simd::kEqualizeMinGain.
 constexpr double kMinGain = 1e-18;
+constexpr double kDeadNoise = 1e18;
 
 // Common phase error from the four pilots: correlate received pilots
 // against their expected post-channel values; the angle of the sum is
@@ -113,27 +112,29 @@ void equalize_into(const FreqSymbol& rx, const ChannelEstimate& est,
   out.points.resize(n);
   out.noise_vars.resize(n);
 
-  // Gather h and rx into SoA staging buffers over the data-bin table,
-  // run the tier-dispatched divide, scatter back. The buffers live on
-  // the stack: equalize_into is on the per-symbol hot path and must not
-  // allocate beyond the (capacity-reused) output vectors.
+  // The separable formula documented in channel_est.hpp, straight from
+  // the bins into the (capacity-reused) outputs: no allocation on the
+  // per-symbol hot path. Dead bins skip the divide.
   const auto& bins = data_bin_table();
-  alignas(32) std::array<double, kFftSize> hr, hi, rr, ri, zr, zi, nv;
+  const double cr = cpe.real();
+  const double ci = cpe.imag();
+  const double noise_floor = std::max(est.noise_var, 1e-12);
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned bin = bins[i];
-    hr[i] = est.h[bin].real();
-    hi[i] = est.h[bin].imag();
-    rr[i] = rx[bin].real();
-    ri[i] = rx[bin].imag();
-  }
-  const double noise_floor = std::max(est.noise_var, 1e-12);
-  simd::equalize_for(simd::active_tier())(hr.data(), hi.data(), rr.data(),
-                                          ri.data(), cpe.real(), cpe.imag(),
-                                          noise_floor, n, zr.data(), zi.data(),
-                                          nv.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    out.points[i] = Cx{zr[i], zi[i]};
-    out.noise_vars[i] = nv[i];
+    const double hr = est.h[bin].real();
+    const double hi = est.h[bin].imag();
+    const double rr = rx[bin].real();
+    const double ri = rx[bin].imag();
+    const double g = hr * hr + hi * hi;
+    if (g < kMinGain) {
+      out.points[i] = Cx{};
+      out.noise_vars[i] = kDeadNoise;
+      continue;
+    }
+    const double yr = rr * cr + ri * ci;
+    const double yi = ri * cr - rr * ci;
+    out.points[i] = Cx{(yr * hr + yi * hi) / g, (yi * hr - yr * hi) / g};
+    out.noise_vars[i] = noise_floor / g;
   }
 }
 
@@ -155,7 +156,7 @@ EqualizedSymbol equalize_reference(const FreqSymbol& rx,
     if (gain < kMinGain) {
       // A dead bin carries no information: neutral point, huge noise.
       out.points[i] = Cx{};
-      out.noise_vars[i] = 1e18;
+      out.noise_vars[i] = kDeadNoise;
       continue;
     }
     out.points[i] = rx[bin] * std::conj(cpe) / est.h[bin];

@@ -47,12 +47,20 @@ EqualizedSymbol equalize(const FreqSymbol& rx, const ChannelEstimate& est,
 /// capacity reused). The hot decode path keeps one EqualizedSymbol in
 /// its phy::BatchDecoder so per-symbol buffers persist.
 ///
-/// The per-subcarrier divide runs through the phy::simd equalize kernel
-/// (bit-identical at every dispatch tier): points are computed as
-/// y * conj(h) / |h|^2 in separable real arithmetic instead of the
-/// reference's std::complex division (libgcc's scaled Smith algorithm).
-/// The two agree to ~1 ULP on finite channels — see
-/// detail::equalize_reference and the parity test in test_simd.cpp.
+/// Points are computed as y * conj(h) / |h|^2 in separable real
+/// arithmetic instead of the reference's std::complex division (libgcc's
+/// scaled Smith algorithm). Per data bin, with h = (hr, hi), rx = (rr, ri),
+/// the common-phase-error rotation (cr, ci) and the noise floor
+/// max(noise_var, 1e-12), in exactly this association:
+///   g  = hr*hr + hi*hi
+///   yr = rr*cr + ri*ci          (rx * conj(cpe))
+///   yi = ri*cr - rr*ci
+///   zr = (yr*hr + yi*hi) / g    (y * conj(h) / |h|^2)
+///   zi = (yi*hr - yr*hi) / g
+///   nv = noise_floor / g
+/// with g < 1e-18 (a dead bin) giving the neutral point 0 and nv 1e18.
+/// tests/test_simd.cpp pins this arithmetic bit for bit, and checks it
+/// against detail::equalize_reference to ~1 ULP on finite channels.
 void equalize_into(const FreqSymbol& rx, const ChannelEstimate& est,
                    std::size_t symbol_index, bool cpe_correction,
                    EqualizedSymbol& out);

@@ -201,7 +201,7 @@ void demap_soft_into(std::span<const Cx> points, Modulation mod,
   const simd::DemapAxes& ax = axes_for(mod);
   out.resize(points.size() * ax.n_bits);
   const simd::DemapBlockFn kernel =
-      simd::demap_block_for(simd::active_tier());
+      simd::kernels_for(simd::active_tier()).demap_block;
   // Split the interleaved points into SoA chunks for the kernel; the
   // per-point math is chunk-independent, so any chunk size gives the
   // same LLRs.

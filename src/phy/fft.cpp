@@ -120,18 +120,19 @@ void transform_tiered(std::span<Cx> data, bool inverse, simd::Tier tier) {
 
   for (const auto& [i, j] : plan.swaps) std::swap(data[i], data[j]);
 
-  const simd::FftKernels& kern = simd::fft_kernels_for(tier);
+  const simd::Kernels& kern = simd::kernels_for(tier);
   const std::vector<Cx>& twiddles = inverse ? plan.inv : plan.fwd;
   const Cx* tw = twiddles.data();
   std::size_t h = 1;
   if (static_cast<unsigned>(std::countr_zero(n)) % 2 == 1) {
-    kern.len2_pass(data.data(), n);
+    kern.fft_len2_pass(data.data(), n);
     h = 2;
   }
   for (; 4 * h <= n; h *= 4) {
-    kern.radix4_pass(data.data(), n, h, tw + (h - 1), tw + (2 * h - 1));
+    kern.fft_radix4_pass(data.data(), n, h, tw + (h - 1),
+                         tw + (2 * h - 1));
   }
-  kern.scale(data.data(), n, plan.scale);
+  kern.fft_scale(data.data(), n, plan.scale);
 }
 
 void transform(std::span<Cx> data, bool inverse) {

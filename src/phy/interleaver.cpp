@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <array>
 
-#include "phy/simd.hpp"
 #include "util/require.hpp"
 
 namespace witag::phy {
@@ -26,26 +25,6 @@ const std::vector<std::size_t>& cached_map(Modulation mod) {
                                Modulation::kQam16, Modulation::kQam64}) {
       maps[static_cast<std::size_t>(m)] =
           interleave_map(n_cbps_for(m), bits_per_symbol(m));
-    }
-    return maps;
-  }();
-  return kMaps[static_cast<std::size_t>(mod)];
-}
-
-// Same permutation as int32 indices: the AVX2 deinterleave kernel
-// gathers through vgatherdpd, which takes 32-bit indices. n_cbps is at
-// most 312 (64-QAM), so the narrowing is always exact.
-const std::vector<std::int32_t>& cached_map_i32(Modulation mod) {
-  static const std::array<std::vector<std::int32_t>, 4> kMaps = [] {
-    std::array<std::vector<std::int32_t>, 4> maps;
-    for (const Modulation m : {Modulation::kBpsk, Modulation::kQpsk,
-                               Modulation::kQam16, Modulation::kQam64}) {
-      const auto& wide = cached_map(m);
-      auto& narrow = maps[static_cast<std::size_t>(m)];
-      narrow.reserve(wide.size());
-      for (const std::size_t idx : wide) {
-        narrow.push_back(static_cast<std::int32_t>(idx));
-      }
     }
     return maps;
   }();
@@ -100,12 +79,9 @@ void deinterleave_llrs_into(std::span<const double> llrs, Modulation mod,
                             std::vector<double>& out) {
   const unsigned n_cbps = n_cbps_for(mod);
   WITAG_REQUIRE(llrs.size() == n_cbps);
-  const auto& map = cached_map_i32(mod);
+  const auto& map = cached_map(mod);
   out.resize(n_cbps);
-  // Pure permutation, so the kernel is trivially bit-identical at every
-  // tier; AVX2 replaces 312 dependent loads with 78 gathers per symbol.
-  simd::deinterleave_for(simd::active_tier())(llrs.data(), map.data(), n_cbps,
-                                              out.data());
+  for (unsigned k = 0; k < n_cbps; ++k) out[k] = llrs[map[k]];
 }
 
 }  // namespace witag::phy

@@ -1,8 +1,8 @@
-// Tier detection, the WITAG_SIMD override, and the scalar reference
-// kernels every tier falls back to. The vector implementations live in
-// simd_sse2.cpp / simd_avx2.cpp; this TU owns the dispatch tables so a
-// build without AVX2 support (or a non-x86 target) degrades to the
-// lower tiers without any caller noticing.
+// Tier detection, the WITAG_SIMD off switch, and the scalar kernels that
+// are both the fallback tier and the semantics the AVX2 kernels
+// reproduce bit for bit. The AVX2 table lives in simd_avx2.cpp; a build
+// without AVX2 support (or a non-x86 target) gets none and every
+// dispatch lands on the scalar table without any caller noticing.
 
 #include "phy/simd.hpp"
 
@@ -18,26 +18,18 @@
 namespace witag::phy::simd {
 namespace {
 
-#if defined(__x86_64__) || defined(__i386__)
-constexpr bool kIsX86 = true;
-#else
-constexpr bool kIsX86 = false;
-#endif
-
 Tier clamp_tier(Tier t) { return std::min(t, detect_best_tier()); }
 
-/// WITAG_SIMD parse, read once per process. Unset or unrecognized
-/// values mean "auto" (best available); "off"/"scalar" force the
-/// portable path CI's simd-dispatch job byte-compares against.
+/// WITAG_SIMD, read once per process: "off"/"scalar"/"0" force the
+/// portable path CI's simd-dispatch job byte-compares against; unset or
+/// anything else means the best detected tier.
 Tier env_tier() {
   static const Tier tier = [] {
     const char* env = std::getenv("WITAG_SIMD");
     if (!env) return detect_best_tier();
     const std::string v(env);
     if (v == "off" || v == "scalar" || v == "0") return Tier::kScalar;
-    if (v == "sse2") return clamp_tier(Tier::kSse2);
-    if (v == "avx2") return clamp_tier(Tier::kAvx2);
-    return detect_best_tier();  // "auto" and anything else
+    return detect_best_tier();
   }();
   return tier;
 }
@@ -132,31 +124,6 @@ void demap_block_scalar(const double* re, const double* im, const double* nv,
   }
 }
 
-void equalize_block_scalar(const double* hr, const double* hi,
-                           const double* rr, const double* ri, double cr,
-                           double ci, double noise_floor, std::size_t count,
-                           double* zr, double* zi, double* nv) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double g = hr[i] * hr[i] + hi[i] * hi[i];
-    const double yr = rr[i] * cr + ri[i] * ci;
-    const double yi = ri[i] * cr - rr[i] * ci;
-    // Compute-then-select, exactly like the vector blend: a dead bin's
-    // quotient is produced (possibly NaN) and discarded.
-    const double qr = (yr * hr[i] + yi * hi[i]) / g;
-    const double qi = (yi * hr[i] - yr * hi[i]) / g;
-    const double qn = noise_floor / g;
-    const bool dead = g < kEqualizeMinGain;
-    zr[i] = dead ? 0.0 : qr;
-    zi[i] = dead ? 0.0 : qi;
-    nv[i] = dead ? kEqualizeDeadNoise : qn;
-  }
-}
-
-void deinterleave_scalar(const double* in, const std::int32_t* map,
-                         std::size_t n, double* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = in[map[k]];
-}
-
 using util::Cx;
 
 void fft_radix4_pass_scalar(Cx* data, std::size_t n, std::size_t h,
@@ -208,50 +175,22 @@ void fft_scale_scalar(Cx* data, std::size_t n, double scale) {
   for (std::size_t i = 0; i < n; ++i) data[i] *= scale;
 }
 
-constexpr FftKernels kFftScalar{fft_radix4_pass_scalar, fft_len2_pass_scalar,
-                                fft_scale_scalar};
+constexpr Kernels kScalarKernels{acs_run_scalar, demap_block_scalar,
+                                 fft_radix4_pass_scalar, fft_len2_pass_scalar,
+                                 fft_scale_scalar};
 
 }  // namespace
 
-// Vector kernel entry points, defined in simd_sse2.cpp / simd_avx2.cpp.
-// Declared here (not in the public header) so only the dispatch tables
-// see them.
+// Defined in simd_avx2.cpp: the AVX2 table, or null when the build
+// cannot target AVX2 or the CPU lacks it. Declared here (not in the
+// public header) so only kernels_for() sees it.
 namespace kernels {
-bool sse2_available();
-void acs_run_sse2(const double* llrs, std::size_t n_steps, double* metrics,
-                  std::uint64_t* dec);
-void demap_block_sse2(const double* re, const double* im, const double* nv,
-                      std::size_t count, const DemapAxes& ax, double* out);
-void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv);
-bool avx2_compiled();
-bool avx2_supported();
-void acs_run_avx2(const double* llrs, std::size_t n_steps, double* metrics,
-                  std::uint64_t* dec);
-void demap_block_avx2(const double* re, const double* im, const double* nv,
-                      std::size_t count, const DemapAxes& ax, double* out);
-void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv);
-void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double* out);
-void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,
-                          const util::Cx* w1, const util::Cx* w2);
-void fft_len2_pass_avx2(util::Cx* data, std::size_t n);
-void fft_scale_avx2(util::Cx* data, std::size_t n, double scale);
+const Kernels* avx2_kernels();
 }  // namespace kernels
 
 Tier detect_best_tier() {
-  static const Tier best = [] {
-    if (!kIsX86) return Tier::kScalar;
-    if (kernels::avx2_compiled() && kernels::avx2_supported()) {
-      return Tier::kAvx2;
-    }
-    return kernels::sse2_available() ? Tier::kSse2 : Tier::kScalar;
-  }();
+  static const Tier best =
+      kernels::avx2_kernels() != nullptr ? Tier::kAvx2 : Tier::kScalar;
   return best;
 }
 
@@ -264,7 +203,6 @@ Tier active_tier() {
 const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kScalar: return "scalar";
-    case Tier::kSse2: return "sse2";
     case Tier::kAvx2: return "avx2";
   }
   WITAG_ENSURE(false);
@@ -281,65 +219,10 @@ ScopedTier::~ScopedTier() {
   g_override.store(previous_, std::memory_order_relaxed);
 }
 
-AcsRunFn acs_run_for(Tier t) {
-  switch (t) {
-    case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) return kernels::acs_run_avx2;
-      [[fallthrough]];
-    case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::acs_run_sse2;
-      [[fallthrough]];
-    case Tier::kScalar:
-      break;
-  }
-  return acs_run_scalar;
-}
-
-DemapBlockFn demap_block_for(Tier t) {
-  switch (t) {
-    case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) return kernels::demap_block_avx2;
-      [[fallthrough]];
-    case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::demap_block_sse2;
-      [[fallthrough]];
-    case Tier::kScalar:
-      break;
-  }
-  return demap_block_scalar;
-}
-
-EqualizeFn equalize_for(Tier t) {
-  switch (t) {
-    case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) {
-        return kernels::equalize_block_avx2;
-      }
-      [[fallthrough]];
-    case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::equalize_block_sse2;
-      [[fallthrough]];
-    case Tier::kScalar:
-      break;
-  }
-  return equalize_block_scalar;
-}
-
-DeinterleaveFn deinterleave_for(Tier t) {
-  // SSE2 has no gather instruction; a 2-lane load/shuffle emulation
-  // loses to the scalar loop, so only AVX2 diverges from scalar.
-  if (t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2) {
-    return kernels::deinterleave_avx2;
-  }
-  return deinterleave_scalar;
-}
-
-const FftKernels& fft_kernels_for(Tier t) {
-  static const FftKernels avx2{kernels::fft_radix4_pass_avx2,
-                               kernels::fft_len2_pass_avx2,
-                               kernels::fft_scale_avx2};
-  if (t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2) return avx2;
-  return kFftScalar;  // one complex double per SSE2 vector: no win
+const Kernels& kernels_for(Tier t) {
+  static const Kernels* const avx2 = kernels::avx2_kernels();
+  if (t == Tier::kAvx2 && avx2 != nullptr) return *avx2;
+  return kScalarKernels;
 }
 
 }  // namespace witag::phy::simd

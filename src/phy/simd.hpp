@@ -1,5 +1,10 @@
-// Runtime SIMD capability tiers and the dispatch surface for the PHY hot
-// kernels (Viterbi add-compare-select, soft demap, radix-4 FFT passes).
+// Runtime SIMD tiers and the one kernel table the PHY hot path
+// dispatches through: Viterbi add-compare-select, soft demap and the
+// radix-4 FFT passes. Two tiers, scalar and AVX2. Equalize and
+// deinterleave stay plain scalar loops (channel_est.cpp,
+// interleaver.cpp): forcing their AVX2 kernels to scalar cost nothing
+// measurable end to end, while scalar demap cost fig5 17% of its
+// rounds/s (DESIGN.md §14).
 //
 // Every kernel here is bit-identical to its scalar counterpart by
 // construction: the build carries no -march/-ffast-math, so scalar code
@@ -8,17 +13,18 @@
 // operands in the same association, just several lanes at a time.
 // Negation is a sign-bit XOR (exact), selection is a bitwise blend
 // (exact), and reductions only reorder operations across independent
-// outputs, never within one. tests/test_simd.cpp fuzzes every tier
+// outputs, never within one. tests/test_simd.cpp fuzzes both tiers
 // against the detail::*_reference implementations.
 //
 // Dispatch is resolved once per call site from `active_tier()`:
-// hardware detection (AVX2 via cpuid, SSE2 implied by x86-64) clamped by
-// what the build supports, overridable with the WITAG_SIMD environment
-// variable ("off"/"scalar", "sse2", "avx2", "auto") — CI's simd-dispatch
-// job forces the scalar fallback and byte-compares bench stdout.
+// hardware detection (AVX2 via cpuid) clamped by what the build
+// supports, with the WITAG_SIMD environment variable as the one off
+// switch ("off"/"scalar"/"0" force scalar, anything else means the
+// best tier) — CI's simd-dispatch job forces scalar and byte-compares
+// bench stdout.
 //
-// Raw intrinsics live only in src/phy/simd_sse2.cpp / simd_avx2.cpp;
-// tools/witag_lint enforces this (rule `simd-intrinsic`).
+// Raw intrinsics live only in src/phy/simd_avx2.cpp; tools/witag_lint
+// enforces this (rule `simd-intrinsic`).
 #pragma once
 
 #include <array>
@@ -29,18 +35,19 @@
 
 namespace witag::phy::simd {
 
-/// Capability tiers, ordered: a higher tier implies the lower ones.
-enum class Tier : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Capability tiers, ordered: a higher tier implies the lower one.
+enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 /// Best tier the hardware and build support (ignores WITAG_SIMD).
 Tier detect_best_tier();
 
-/// The tier kernels dispatch on: detect_best_tier() clamped by the
-/// WITAG_SIMD environment variable (read once per process) and by any
-/// ScopedTier override. Never exceeds detect_best_tier().
+/// The tier kernels dispatch on: detect_best_tier() unless the
+/// WITAG_SIMD environment variable (read once per process) forces
+/// scalar, then any ScopedTier override. Never exceeds
+/// detect_best_tier().
 Tier active_tier();
 
-/// Lower-case tier name ("scalar", "sse2", "avx2") for logs and benches.
+/// Lower-case tier name ("scalar", "avx2") for logs and benches.
 const char* tier_name(Tier t);
 
 /// RAII tier override for tests and benches: clamps to the detected
@@ -70,10 +77,6 @@ class ScopedTier {
 using AcsRunFn = void (*)(const double* llrs, std::size_t n_steps,
                           double* metrics, std::uint64_t* dec);
 
-/// The ACS kernel for a tier (always non-null; unavailable tiers fall
-/// back to the next lower implementation).
-AcsRunFn acs_run_for(Tier t);
-
 // ---------------------------------------------------------------------
 // Soft demap (separable Gray-QAM, SoA inputs).
 // ---------------------------------------------------------------------
@@ -99,53 +102,6 @@ using DemapBlockFn = void (*)(const double* re, const double* im,
                               const double* nv, std::size_t count,
                               const DemapAxes& ax, double* out);
 
-/// The demap kernel for a tier (always non-null).
-DemapBlockFn demap_block_for(Tier t);
-
-// ---------------------------------------------------------------------
-// Equalize (separable complex divide over gathered data subcarriers).
-// ---------------------------------------------------------------------
-
-/// |h|^2 below this is a dead bin: the equalizer emits a neutral point
-/// with kEqualizeDeadNoise variance instead of dividing by ~zero.
-inline constexpr double kEqualizeMinGain = 1e-18;
-inline constexpr double kEqualizeDeadNoise = 1e18;
-
-/// Equalizes `count` data points given as parallel arrays: channel
-/// estimate (hr/hi), received points (rr/ri), the common-phase-error
-/// rotation (cr, ci) and the noise floor max(noise_var, 1e-12). Writes
-/// equalized points (zr/zi) and post-equalization noise variances (nv).
-/// Per point, in this exact association (every tier performs the same
-/// IEEE-754 operations, so all tiers are bit-identical):
-///   g  = hr*hr + hi*hi
-///   yr = rr*cr + ri*ci          (rx * conj(cpe))
-///   yi = ri*cr - rr*ci
-///   zr = (yr*hr + yi*hi) / g    (y * conj(h) / |h|^2)
-///   zi = (yi*hr - yr*hi) / g
-///   nv = noise_floor / g
-/// with g < kEqualizeMinGain selecting {0, 0, kEqualizeDeadNoise}.
-using EqualizeFn = void (*)(const double* hr, const double* hi,
-                            const double* rr, const double* ri, double cr,
-                            double ci, double noise_floor, std::size_t count,
-                            double* zr, double* zi, double* nv);
-
-/// The equalize kernel for a tier (always non-null).
-EqualizeFn equalize_for(Tier t);
-
-// ---------------------------------------------------------------------
-// Deinterleave (pure permutation gather: out[k] = in[map[k]]).
-// ---------------------------------------------------------------------
-
-/// Applies a precomputed permutation: out[k] = in[map[k]] for k in
-/// [0, n). A pure data movement, so every tier is trivially
-/// bit-identical; AVX2 uses vgatherdpd over the int32 index table.
-using DeinterleaveFn = void (*)(const double* in, const std::int32_t* map,
-                                std::size_t n, double* out);
-
-/// The deinterleave kernel for a tier (always non-null). SSE2 has no
-/// gather, so only the AVX2 tier differs from scalar.
-DeinterleaveFn deinterleave_for(Tier t);
-
 // ---------------------------------------------------------------------
 // FFT passes (decimation-in-time, fused radix-4). See fft.cpp for the
 // engine that sequences these over a plan's twiddle tables.
@@ -166,15 +122,21 @@ using FftLen2PassFn = void (*)(util::Cx* data, std::size_t n);
 /// Final 1/sqrt(n) scaling over the whole buffer.
 using FftScaleFn = void (*)(util::Cx* data, std::size_t n, double scale);
 
-struct FftKernels {
-  FftRadix4PassFn radix4_pass;
-  FftLen2PassFn len2_pass;
-  FftScaleFn scale;
+// ---------------------------------------------------------------------
+// Dispatch.
+// ---------------------------------------------------------------------
+
+/// One tier's kernels; every entry is non-null.
+struct Kernels {
+  AcsRunFn acs_run;
+  DemapBlockFn demap_block;
+  FftRadix4PassFn fft_radix4_pass;
+  FftLen2PassFn fft_len2_pass;
+  FftScaleFn fft_scale;
 };
 
-/// The FFT pass kernels for a tier. SSE2 gains nothing over scalar at
-/// one complex double per vector, so only the AVX2 tier differs from
-/// scalar here.
-const FftKernels& fft_kernels_for(Tier t);
+/// The kernel table for a tier. A tier the hardware or build cannot run
+/// gets the scalar table.
+const Kernels& kernels_for(Tier t);
 
 }  // namespace witag::phy::simd

@@ -4,8 +4,8 @@
 // -mfma: the scalar code the kernels must match bit for bit is built
 // with no contraction, so the kernels stick to packed mul/add/sub —
 // an FMA here would round differently). When the compiler cannot
-// target AVX2 the file degrades to stubs and dispatch never selects
-// this tier (see avx2_compiled()).
+// target AVX2 the file only defines avx2_kernels() returning null, and
+// dispatch stays scalar.
 
 #include "phy/simd.hpp"
 
@@ -21,18 +21,9 @@
 
 namespace witag::phy::simd::kernels {
 
-bool avx2_supported() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 #if defined(__AVX2__)
 
-bool avx2_compiled() { return true; }
+namespace {
 
 void acs_run_avx2(const double* llrs, std::size_t n_steps, double* metrics,
                   std::uint64_t* dec) {
@@ -150,14 +141,13 @@ void demap_block_avx2(const double* re, const double* im, const double* nv,
     }
   }
   if (p < count) {
-    // Tail through the SSE2/scalar kernels: per-point math is
-    // identical, so chunk boundaries never change results.
-    demap_block_for(Tier::kSse2)(re + p, im + p, nv + p, count - p, ax,
-                                 out + p * ax.n_bits);
+    // Tail through the scalar kernel: per-point math is identical, so
+    // chunk boundaries never change results.
+    kernels_for(Tier::kScalar)
+        .demap_block(re + p, im + p, nv + p, count - p, ax,
+                     out + p * ax.n_bits);
   }
 }
-
-namespace {
 
 using util::Cx;
 
@@ -184,8 +174,6 @@ inline __m256d load2(const Cx* p) {
 inline void store2(Cx* p, __m256d v) {
   _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
 }
-
-}  // namespace
 
 void fft_radix4_pass_avx2(Cx* data, std::size_t n, std::size_t h,
                           const Cx* w1, const Cx* w2) {
@@ -270,114 +258,19 @@ void fft_scale_avx2(Cx* data, std::size_t n, double scale) {
   for (; i < n; ++i) data[i] *= scale;
 }
 
-void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv) {
-  const __m256d cr_v = _mm256_set1_pd(cr);
-  const __m256d ci_v = _mm256_set1_pd(ci);
-  const __m256d nf_v = _mm256_set1_pd(noise_floor);
-  const __m256d min_gain = _mm256_set1_pd(kEqualizeMinGain);
-  const __m256d dead_nv = _mm256_set1_pd(kEqualizeDeadNoise);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    // Callers may hand arbitrarily-offset slices, so loads/stores stay
-    // unaligned (the gather staging arrays happen to be aligned).
-    const __m256d h_r =
-        _mm256_loadu_pd(hr + i);  // witag-lint: allow(simd-unaligned)
-    const __m256d h_i =
-        _mm256_loadu_pd(hi + i);  // witag-lint: allow(simd-unaligned)
-    const __m256d r_r =
-        _mm256_loadu_pd(rr + i);  // witag-lint: allow(simd-unaligned)
-    const __m256d r_i =
-        _mm256_loadu_pd(ri + i);  // witag-lint: allow(simd-unaligned)
-    // Same association as the scalar kernel; packed mul/add/sub/div
-    // only, no FMA (this TU is compiled without -mfma on purpose).
-    const __m256d g =
-        _mm256_add_pd(_mm256_mul_pd(h_r, h_r), _mm256_mul_pd(h_i, h_i));
-    const __m256d yr =
-        _mm256_add_pd(_mm256_mul_pd(r_r, cr_v), _mm256_mul_pd(r_i, ci_v));
-    const __m256d yi =
-        _mm256_sub_pd(_mm256_mul_pd(r_i, cr_v), _mm256_mul_pd(r_r, ci_v));
-    const __m256d qr = _mm256_div_pd(
-        _mm256_add_pd(_mm256_mul_pd(yr, h_r), _mm256_mul_pd(yi, h_i)), g);
-    const __m256d qi = _mm256_div_pd(
-        _mm256_sub_pd(_mm256_mul_pd(yi, h_r), _mm256_mul_pd(yr, h_i)), g);
-    const __m256d qn = _mm256_div_pd(nf_v, g);
-    const __m256d dead = _mm256_cmp_pd(g, min_gain, _CMP_LT_OQ);
-    _mm256_storeu_pd(zr + i,  // witag-lint: allow(simd-unaligned)
-                     _mm256_andnot_pd(dead, qr));
-    _mm256_storeu_pd(zi + i,  // witag-lint: allow(simd-unaligned)
-                     _mm256_andnot_pd(dead, qi));
-    _mm256_storeu_pd(nv + i,  // witag-lint: allow(simd-unaligned)
-                     _mm256_blendv_pd(qn, dead_nv, dead));
-  }
-  if (i < count) {
-    equalize_for(Tier::kScalar)(hr + i, hi + i, rr + i, ri + i, cr, ci,
-                                noise_floor, count - i, zr + i, zi + i,
-                                nv + i);
-  }
-}
+}  // namespace
 
-void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double* out) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i idx = _mm_loadu_si128(  // witag-lint: allow(simd-unaligned)
-        reinterpret_cast<const __m128i*>(map + k));
-    // A pure permutation: four gathered loads land in one consecutive
-    // store, bit-identical to the scalar copy loop by construction.
-    // The masked form with every lane enabled is the same instruction;
-    // its explicit zero source avoids the unmasked intrinsic's
-    // self-initialised placeholder, which g++ 12 flags as
-    // maybe-uninitialized.
-    const __m256d v = _mm256_mask_i32gather_pd(
-        _mm256_setzero_pd(), in, idx,
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-    _mm256_storeu_pd(out + k, v);  // witag-lint: allow(simd-unaligned)
-  }
-  for (; k < n; ++k) out[k] = in[map[k]];
+const Kernels* avx2_kernels() {
+  static constexpr Kernels kAvx2{acs_run_avx2, demap_block_avx2,
+                                 fft_radix4_pass_avx2, fft_len2_pass_avx2,
+                                 fft_scale_avx2};
+  static const bool supported = __builtin_cpu_supports("avx2") != 0;
+  return supported ? &kAvx2 : nullptr;
 }
 
 #else  // !defined(__AVX2__)
 
-bool avx2_compiled() { return false; }
-
-void acs_run_avx2(const double* llrs, std::size_t n_steps, double* metrics,
-                  std::uint64_t* dec) {
-  acs_run_for(Tier::kSse2)(llrs, n_steps, metrics, dec);
-}
-
-void demap_block_avx2(const double* re, const double* im, const double* nv,
-                      std::size_t count, const DemapAxes& ax, double* out) {
-  demap_block_for(Tier::kSse2)(re, im, nv, count, ax, out);
-}
-
-void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv) {
-  equalize_for(Tier::kSse2)(hr, hi, rr, ri, cr, ci, noise_floor, count, zr,
-                            zi, nv);
-}
-
-void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double* out) {
-  deinterleave_for(Tier::kScalar)(in, map, n, out);
-}
-
-void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,
-                          const util::Cx* w1, const util::Cx* w2) {
-  fft_kernels_for(Tier::kScalar).radix4_pass(data, n, h, w1, w2);
-}
-
-void fft_len2_pass_avx2(util::Cx* data, std::size_t n) {
-  fft_kernels_for(Tier::kScalar).len2_pass(data, n);
-}
-
-void fft_scale_avx2(util::Cx* data, std::size_t n, double scale) {
-  fft_kernels_for(Tier::kScalar).scale(data, n, scale);
-}
+const Kernels* avx2_kernels() { return nullptr; }
 
 #endif  // defined(__AVX2__)
 

@@ -77,11 +77,11 @@ inline constexpr std::array<Butterfly, kNumStates> kButterflies =
 
 // Large-finite stand-in for -inf: unreachable states carry this value
 // instead of being skipped, which removes the per-state branch from the
-// ACS loop. Physical LLR sums are tens per step, so adding a branch
-// metric to the sentinel does not move it at double granularity (ulp at
-// 1e300 is ~1e284), and a sentinel path can never beat a real one. Any
-// end metric below kSentinelThreshold therefore means "state 0 was
-// pruned", exactly like the reference's -inf test.
+// ACS loop. viterbi_decode rejects |LLR| > kMaxLlr (1e250), so adding a
+// branch metric to the sentinel does not move it at double granularity
+// (ulp at 1e300 is ~1e284), and a sentinel path can never beat a real
+// one. Any end metric below kSentinelThreshold therefore means "state 0
+// was pruned", exactly like the reference's -inf test.
 inline constexpr double kSentinel = -1e300;
 inline constexpr double kSentinelThreshold = -1e290;
 

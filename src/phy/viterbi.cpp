@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <cstddef>
 
@@ -26,6 +27,10 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
                     util::BitVec& out) {
   WITAG_SPAN_CAT("phy.viterbi", "phy");
   WITAG_REQUIRE(!llrs.empty() && llrs.size() % 2 == 0);
+  // A NaN fails the compare, so it is rejected too.
+  WITAG_REQUIRE(std::all_of(llrs.begin(), llrs.end(), [](double llr) {
+    return std::abs(llr) <= kMaxLlr;
+  }));
   const std::size_t n_steps = llrs.size() / 2;
   WITAG_COUNT("phy.viterbi.calls", 1);
   WITAG_COUNT("phy.viterbi.bits", n_steps);
@@ -43,8 +48,8 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
 
   // One kernel call runs the whole forward pass; every tier's kernel is
   // bit-identical (tests/test_simd.cpp fuzzes ties and long trellises).
-  simd::acs_run_for(simd::active_tier())(llrs.data(), n_steps, metrics.data(),
-                                         dec);
+  simd::kernels_for(simd::active_tier())
+      .acs_run(llrs.data(), n_steps, metrics.data(), dec);
 
   // The tail drives the encoder back to state 0; fall back to the best
   // surviving state if 0 was pruned (only LLRs far past the sentinel's

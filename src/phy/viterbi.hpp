@@ -44,11 +44,20 @@ class ViterbiWorkspace {
   std::vector<std::uint64_t> decisions_;
 };
 
+/// Largest |LLR| viterbi_decode accepts. Its -1e300 sentinel metric
+/// acts like the reference's -inf only while every real path metric
+/// stays far from it; at 1e250 per LLR a trellis would need ~1e39 steps
+/// to close that margin (DESIGN.md §12.1). The demapper's LLRs are
+/// many orders of magnitude smaller.
+inline constexpr double kMaxLlr = 1e250;
+
 /// Decodes `llrs` (two per information bit at the mother rate) into
 /// `out` (resized to the information bit count, including the tail),
 /// reusing `ws` and `out` capacity. Requires an even, non-zero LLR
-/// count. Steady state (same or smaller size as a previous call on the
-/// same buffers) performs no heap allocation.
+/// count and std::abs(llr) <= kMaxLlr for every LLR (so no NaN);
+/// throws std::invalid_argument otherwise. Steady state (same or
+/// smaller size as a previous call on the same buffers) performs no
+/// heap allocation.
 void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
                     util::BitVec& out);
 

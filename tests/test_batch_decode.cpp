@@ -74,7 +74,6 @@ std::vector<phy::simd::Tier> runnable_tiers() {
   using phy::simd::Tier;
   std::vector<Tier> tiers{Tier::kScalar};
   const Tier best = phy::simd::detect_best_tier();
-  if (best >= Tier::kSse2) tiers.push_back(Tier::kSse2);
   if (best >= Tier::kAvx2) tiers.push_back(Tier::kAvx2);
   return tiers;
 }

@@ -4,7 +4,10 @@
 // reference implementations they replaced (kept under detail::).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <span>
 #include <vector>
 
@@ -86,6 +89,36 @@ TEST(ViterbiEquiv, AllTiesDecodeToAllZeros) {
   const BitVec expect(64, 0);
   EXPECT_EQ(phy::detail::viterbi_reference(llrs), expect);
   EXPECT_EQ(phy::viterbi_decode(llrs), expect);
+}
+
+TEST(ViterbiEquiv, LlrRangeIsEnforcedAtTheSentinelMargin) {
+  // Past kMaxLlr the -1e300 sentinel stops acting like -inf: this
+  // one-step trellis decodes to 1 on the sentinel path and 0 in the
+  // reference, so viterbi_decode must refuse it.
+  EXPECT_THROW(phy::viterbi_decode(std::vector<double>{-5e299, 0.0}),
+               std::invalid_argument);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kJustOver = std::nextafter(phy::kMaxLlr, kInf);
+  for (const double bad : {kNan, kInf, -kInf, kJustOver, -kJustOver}) {
+    std::vector<double> llrs(2 * 16, 4.0);
+    llrs[7] = bad;
+    EXPECT_THROW(phy::viterbi_decode(llrs), std::invalid_argument) << bad;
+  }
+
+  // At the bound itself both decoders still agree, including where the
+  // old failure lived: huge LLRs in the first steps of short trellises.
+  const double levels[] = {0.0, 4.0, -4.0, phy::kMaxLlr, -phy::kMaxLlr};
+  phy::ViterbiWorkspace ws;
+  BitVec decoded;
+  for (std::uint64_t trial = 0; trial < 2000; ++trial) {
+    util::Rng rng(0x11'3A'00 + trial);
+    std::vector<double> llrs(2 * (1 + rng.uniform_int(40)));
+    for (double& l : llrs) l = levels[rng.uniform_int(5)];
+    phy::viterbi_decode(llrs, ws, decoded);
+    ASSERT_EQ(decoded, phy::detail::viterbi_reference(llrs))
+        << "trial " << trial;
+  }
 }
 
 TEST(ViterbiEquiv, WorkspaceReusesWithoutGrowing) {
