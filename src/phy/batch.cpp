@@ -1,5 +1,6 @@
 #include "phy/batch.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 
@@ -22,12 +23,61 @@ std::size_t vec_capacity_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
+detail::LlrScatter make_llr_scatter(Modulation mod, CodeRate rate) {
+  const unsigned n_bpsc = bits_per_symbol(mod);
+  const std::span<const std::uint8_t> pattern = puncture_pattern(rate);
+  const auto kept = static_cast<unsigned>(
+      std::count(pattern.begin(), pattern.end(), std::uint8_t{1}));
+  detail::LlrScatter t;
+  t.n_cbps = kDataSubcarriers * n_bpsc;
+  WITAG_ENSURE(t.n_cbps % kept == 0);
+  t.mother_per_symbol =
+      t.n_cbps / kept * static_cast<unsigned>(pattern.size());
+  // Deinterleaved coded bit k is demap output map[k], and depuncture
+  // puts the k-th kept bit at the k-th kept mother slot.
+  const std::vector<std::size_t> map = interleave_map(t.n_cbps, n_bpsc);
+  unsigned k = 0;
+  for (unsigned m = 0; m < t.mother_per_symbol; ++m) {
+    if (pattern[m % pattern.size()]) {
+      t.to[map[k++]] = static_cast<std::uint16_t>(m);
+    }
+  }
+  WITAG_ENSURE(k == t.n_cbps);
+  return t;
+}
+
 }  // namespace
+
+namespace detail {
+
+void LlrScatter::scatter(std::span<const double> sym_llrs, std::size_t s,
+                         std::span<double> mother) const {
+  WITAG_REQUIRE(sym_llrs.size() == n_cbps);
+  WITAG_REQUIRE(mother.size() >= (s + 1) * mother_per_symbol);
+  double* dst = mother.data() + s * mother_per_symbol;
+  for (unsigned p = 0; p < n_cbps; ++p) dst[to[p]] = sym_llrs[p];
+}
+
+const LlrScatter& llr_scatter(Modulation mod, CodeRate rate) {
+  static const std::array<LlrScatter, kNumMcs> kTables = [] {
+    std::array<LlrScatter, kNumMcs> tables;
+    for (unsigned i = 0; i < kNumMcs; ++i) {
+      tables[i] = make_llr_scatter(mcs(i).modulation, mcs(i).rate);
+    }
+    return tables;
+  }();
+  for (unsigned i = 0; i < kNumMcs; ++i) {
+    if (mcs(i).modulation == mod && mcs(i).rate == rate) return kTables[i];
+  }
+  WITAG_REQUIRE(false);
+  return kTables[0];
+}
+
+}  // namespace detail
 
 std::size_t BatchDecoder::capacity_bytes() const {
   return viterbi_.capacity_bytes() + vec_capacity_bytes(eq_.points) +
          vec_capacity_bytes(eq_.noise_vars) + vec_capacity_bytes(sym_llrs_) +
-         vec_capacity_bytes(deint_) + vec_capacity_bytes(llrs_) +
          vec_capacity_bytes(mother_) + vec_capacity_bytes(bits_) +
          vec_capacity_bytes(plain_);
 }
@@ -37,24 +87,17 @@ void BatchDecoder::decode_field(std::span<const FreqSymbol> symbols,
                                 std::size_t first_symbol_index,
                                 bool cpe_correction,
                                 std::size_t n_info_bits) {
-  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
-  llrs_.clear();
-  llrs_.reserve(symbols.size() * n_cbps);
+  const detail::LlrScatter& scatter = detail::llr_scatter(mod, rate);
+  // Zeroed once: the punctured slots keep the 0.0 erasure.
+  mother_.assign(symbols.size() * scatter.mother_per_symbol, 0.0);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     equalize_into(symbols[s], result_.estimate, first_symbol_index + s,
                   cpe_correction, eq_);
     demap_soft_into(eq_.points, mod, eq_.noise_vars, sym_llrs_);
-    deinterleave_llrs_into(sym_llrs_, mod, deint_);
-    llrs_.insert(llrs_.end(), deint_.begin(), deint_.end());
+    scatter.scatter(sym_llrs_, s, mother_);
   }
-
-  const auto frac = rate_fraction(rate);
-  // llrs_.size() punctured bits carry llrs_.size() * num / den info bits
-  // at the mother rate.
-  const std::size_t n_info = llrs_.size() * frac.num / frac.den;
-  depuncture_into(llrs_, rate, 2 * n_info, mother_);
   if (n_info_bits != 0) {
-    WITAG_REQUIRE(n_info_bits <= n_info);
+    WITAG_REQUIRE(2 * n_info_bits <= mother_.size());
     mother_.resize(2 * n_info_bits);
   }
   viterbi_decode(mother_, viterbi_, bits_);

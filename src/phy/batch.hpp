@@ -6,9 +6,10 @@
 // stale mid-frame is what carries the tag's bits — so there are never
 // independent PPDUs in one exchange to decode side by side. The decoder
 // therefore runs one PPDU per call: SIG and DATA go through the same
-// field decode (per symbol: equalize → soft demap → deinterleave; then
-// depuncture → Viterbi), and the DATA bits are descrambled into a
-// reused RxResult.
+// field decode (per symbol: equalize → soft demap → scatter each LLR to
+// its mother-rate slot, which deinterleaves and depunctures in one
+// step; then Viterbi), and the DATA bits are descrambled into a reused
+// RxResult.
 //
 // Every buffer is owned here and grows to the largest PPDU seen, so
 // steady-state decode performs zero heap allocations (asserted via the
@@ -16,9 +17,11 @@
 // thread-safe: use one decoder per thread (each Session owns one).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
-#include <cstddef>
 
 #include "phy/channel_est.hpp"
 #include "phy/mcs.hpp"
@@ -42,8 +45,8 @@ class BatchDecoder {
   std::size_t capacity_bytes() const;
 
  private:
-  /// Decodes one field against `result_.estimate` — equalize,
-  /// soft-demap and deinterleave each symbol, then depuncture and
+  /// Decodes one field against `result_.estimate` — equalize and
+  /// soft-demap each symbol and scatter its LLRs into `mother_`, then
   /// Viterbi-decode into `bits_`.
   /// `n_info_bits` truncates the decode (0 = everything; the data
   /// field stops at the tail where the trellis terminates).
@@ -54,12 +57,36 @@ class BatchDecoder {
   ViterbiWorkspace viterbi_;
   EqualizedSymbol eq_;            ///< Per-symbol equalizer output.
   std::vector<double> sym_llrs_;  ///< Per-symbol soft demap output.
-  std::vector<double> deint_;     ///< Per-symbol deinterleaved LLRs.
-  std::vector<double> llrs_;      ///< Concatenated field LLRs.
-  std::vector<double> mother_;    ///< Depunctured mother-rate LLRs.
+  std::vector<double> mother_;    ///< Field LLRs at mother rate.
   util::BitVec bits_;             ///< Viterbi output bits.
   util::BitVec plain_;            ///< Descrambled field bits.
   RxResult result_;
 };
+
+namespace detail {
+
+/// Deinterleave → depuncture as one scatter, for a (modulation, rate)
+/// pair of the MCS table (SIG is MCS 0's BPSK 1/2). Every such pair's
+/// n_cbps is a whole number of puncture periods' kept bits, so each
+/// OFDM symbol fills exactly `mother_per_symbol` mother-rate slots with
+/// the puncture pattern starting afresh: symbol s's demapped LLR p
+/// belongs at mother index s * mother_per_symbol + to[p], and the
+/// slots no LLR reaches are the punctured ones.
+struct LlrScatter {
+  unsigned n_cbps = 0;             ///< LLRs per symbol.
+  unsigned mother_per_symbol = 0;  ///< Mother-rate slots per symbol.
+  std::array<std::uint16_t, kMaxCodedBitsPerSymbol> to{};
+
+  /// Writes symbol `s`'s LLRs (n_cbps, in demap order) into their slots
+  /// of `mother`. Requires mother.size() >= (s + 1) * mother_per_symbol.
+  void scatter(std::span<const double> sym_llrs, std::size_t s,
+               std::span<double> mother) const;
+};
+
+/// The process-wide scatter table for a pair. Requires a pair that
+/// some MCS uses.
+const LlrScatter& llr_scatter(Modulation mod, CodeRate rate);
+
+}  // namespace detail
 
 }  // namespace witag::phy

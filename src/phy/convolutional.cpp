@@ -19,19 +19,6 @@ constexpr std::uint8_t parity(std::uint32_t v) {
   return static_cast<std::uint8_t>(static_cast<unsigned>(std::popcount(v)) & 1u);
 }
 
-// Bit-parity LUT over the 7-bit register: entry f holds output bit A in
-// bit 0 and B in bit 1, replacing two popcounts per input bit.
-constexpr std::array<std::uint8_t, 128> make_encoder_lut() {
-  std::array<std::uint8_t, 128> lut{};
-  for (std::uint32_t f = 0; f < 128; ++f) {
-    lut[f] = static_cast<std::uint8_t>(parity(f & kGenPolyA) |
-                                       (parity(f & kGenPolyB) << 1));
-  }
-  return lut;
-}
-
-constexpr std::array<std::uint8_t, 128> kEncoderLut = make_encoder_lut();
-
 }  // namespace
 
 std::span<const std::uint8_t> puncture_pattern(CodeRate rate) {
@@ -83,16 +70,9 @@ std::size_t punctured_length(std::size_t mother_bits, CodeRate rate) {
 
 std::vector<double> depuncture(std::span<const double> llrs, CodeRate rate,
                                std::size_t n_coded_bits) {
-  std::vector<double> out;
-  depuncture_into(llrs, rate, n_coded_bits, out);
-  return out;
-}
-
-void depuncture_into(std::span<const double> llrs, CodeRate rate,
-                     std::size_t n_coded_bits, std::vector<double>& out) {
   WITAG_REQUIRE(n_coded_bits % 2 == 0);
   const auto pattern = puncture_pattern(rate);
-  out.assign(n_coded_bits, 0.0);
+  std::vector<double> out(n_coded_bits, 0.0);
   std::size_t src = 0;
   for (std::size_t i = 0; i < n_coded_bits; ++i) {
     if (pattern[i % pattern.size()]) {
@@ -101,6 +81,7 @@ void depuncture_into(std::span<const double> llrs, CodeRate rate,
     }
   }
   WITAG_REQUIRE(src == llrs.size());
+  return out;
 }
 
 namespace detail {

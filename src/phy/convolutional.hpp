@@ -3,6 +3,8 @@
 // standard puncturing patterns for rates 2/3, 3/4 and 5/6.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +20,20 @@ inline constexpr unsigned kNumStates = 1u << (kConstraintLength - 1);
 inline constexpr std::uint8_t kGenPolyA = 0x5B;  // 133 octal, bit-reversed taps
 inline constexpr std::uint8_t kGenPolyB = 0x79;  // 171 octal
 
+/// Encoder output per 7-bit register state (newest input bit at bit 6,
+/// oldest at bit 0, matching the MSB-first octal taps): bit 0 holds
+/// output A, bit 1 output B. One lookup replaces two parities per input
+/// bit; convolutional_encode and the one-pass transmit both step it.
+inline constexpr std::array<std::uint8_t, 128> kEncoderLut = [] {
+  std::array<std::uint8_t, 128> lut{};
+  for (std::uint32_t f = 0; f < 128; ++f) {
+    const auto a = static_cast<unsigned>(std::popcount(f & kGenPolyA)) & 1u;
+    const auto b = static_cast<unsigned>(std::popcount(f & kGenPolyB)) & 1u;
+    lut[f] = static_cast<std::uint8_t>(a | (b << 1));
+  }
+  return lut;
+}();
+
 /// Encodes at mother rate 1/2: each input bit yields output pair (A, B).
 /// The encoder starts from the all-zero state; callers append 6 zero tail
 /// bits to terminate the trellis (the PPDU layer does this).
@@ -32,11 +48,6 @@ util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate);
 /// mother-rate length to restore (must be even).
 std::vector<double> depuncture(std::span<const double> llrs, CodeRate rate,
                                std::size_t n_coded_bits);
-
-/// Allocation-reusing variant: writes into `out` (resized; capacity
-/// reused) for the hot decode path.
-void depuncture_into(std::span<const double> llrs, CodeRate rate,
-                     std::size_t n_coded_bits, std::vector<double>& out);
 
 /// Mother-rate coded length -> punctured length for a code rate.
 std::size_t punctured_length(std::size_t mother_bits, CodeRate rate);

@@ -15,9 +15,9 @@ unsigned n_cbps_for(Modulation mod) {
   return kDataSubcarriers * bits_per_symbol(mod);
 }
 
-// The permutation depends only on the modulation, and the decode path
-// applies it once per OFDM symbol — cache the four maps instead of
-// rebuilding (and re-allocating) them every call.
+// The permutation depends only on the modulation, and each call applies
+// it to one OFDM symbol — cache the four maps instead of rebuilding (and
+// re-allocating) them every call.
 const std::vector<std::size_t>& cached_map(Modulation mod) {
   static const std::array<std::vector<std::size_t>, 4> kMaps = [] {
     std::array<std::vector<std::size_t>, 4> maps;

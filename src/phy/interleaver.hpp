@@ -29,8 +29,10 @@ util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod);
 std::vector<double> deinterleave_llrs(std::span<const double> llrs,
                                       Modulation mod);
 
-/// Allocation-reusing variant for the hot decode path: writes into `out`
-/// (resized; capacity reused) using a cached permutation map.
+/// Allocation-reusing variant: writes into `out` (resized; capacity
+/// reused) using a cached permutation map. The decoder does not call it:
+/// phy::BatchDecoder scatters demapped LLRs straight to their
+/// mother-rate slots (phy/batch.hpp), which folds this permutation in.
 void deinterleave_llrs_into(std::span<const double> llrs, Modulation mod,
                             std::vector<double>& out);
 

@@ -41,6 +41,9 @@ inline constexpr unsigned kNumMcs = 8;
 /// Number of data subcarriers in an HT 20 MHz symbol.
 inline constexpr unsigned kDataSubcarriers = 52;
 
+/// Largest n_cbps of any MCS (64-QAM: 6 coded bits per subcarrier).
+inline constexpr unsigned kMaxCodedBitsPerSymbol = kDataSubcarriers * 6;
+
 /// OFDM symbol duration with 800 ns guard interval [us].
 inline constexpr double kSymbolDurationUs = 4.0;
 

@@ -1,7 +1,9 @@
 #include "phy/ppdu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "phy/batch.hpp"
 #include "phy/constellation.hpp"
@@ -18,27 +20,81 @@ namespace {
 constexpr std::size_t kServiceBits = 16;
 constexpr std::size_t kTailBits = 6;
 
-// Encodes `bits` (already scrambled where applicable) into OFDM data
-// symbols at the given modulation/rate. `bits` must fill a whole number
-// of symbols after encoding. `first_symbol_index` sets pilot polarity.
-std::vector<FreqSymbol> encode_field(std::span<const std::uint8_t> bits,
-                                     Modulation mod, CodeRate rate,
-                                     std::size_t first_symbol_index) {
-  const util::BitVec mother = convolutional_encode(bits);
-  const util::BitVec coded = puncture(mother, rate);
-  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
-  WITAG_REQUIRE(coded.size() % n_cbps == 0);
+// Where coded bit k of one OFDM symbol ends up after the interleaver and
+// the mapper: point `point` (0..51), bit `shift` of its LSB-first index
+// into constellation_points. Derived from interleave_map, so it is the
+// interleave → map_bits composition, one lookup per coded bit.
+struct CodedSlot {
+  std::uint8_t point = 0;
+  std::uint8_t shift = 0;
+};
 
-  std::vector<FreqSymbol> symbols;
-  symbols.reserve(coded.size() / n_cbps);
-  for (std::size_t off = 0; off < coded.size(); off += n_cbps) {
-    const std::span<const std::uint8_t> chunk(coded.data() + off, n_cbps);
-    const util::BitVec interleaved = interleave(chunk, mod);
-    const util::CxVec points = map_bits(interleaved, mod);
-    symbols.push_back(
-        assemble_data_symbol(points, first_symbol_index + symbols.size()));
+struct SlotTable {
+  unsigned n_cbps = 0;
+  std::array<CodedSlot, kMaxCodedBitsPerSymbol> slots{};
+};
+
+SlotTable make_slot_table(Modulation mod) {
+  const unsigned n_bpsc = bits_per_symbol(mod);
+  SlotTable t;
+  t.n_cbps = kDataSubcarriers * n_bpsc;
+  const std::vector<std::size_t> map = interleave_map(t.n_cbps, n_bpsc);
+  for (unsigned k = 0; k < t.n_cbps; ++k) {
+    t.slots[k] = {static_cast<std::uint8_t>(map[k] / n_bpsc),
+                  static_cast<std::uint8_t>(map[k] % n_bpsc)};
   }
-  return symbols;
+  return t;
+}
+
+const SlotTable& slot_table(Modulation mod) {
+  static const std::array<SlotTable, 4> kTables{
+      make_slot_table(Modulation::kBpsk), make_slot_table(Modulation::kQpsk),
+      make_slot_table(Modulation::kQam16), make_slot_table(Modulation::kQam64)};
+  return kTables[static_cast<std::size_t>(mod)];
+}
+
+// Encodes a field of n_sym OFDM symbols in one pass and appends them to
+// `out`: each uncoded bit from `next_bit` goes through the encoder LUT,
+// the puncture pattern (wrapping index) and the slot table into its
+// point's constellation index, and each full symbol is mapped and
+// assembled. `next_bit` must yield n_sym * n_dbps bits.
+// `first_symbol_index` sets pilot polarity.
+template <typename NextBit>
+void transmit_field(NextBit&& next_bit, std::size_t n_sym, Modulation mod,
+                    CodeRate rate, std::size_t first_symbol_index,
+                    std::vector<FreqSymbol>& out) {
+  const SlotTable& table = slot_table(mod);
+  const std::span<const std::uint8_t> pattern = puncture_pattern(rate);
+  const std::size_t kept = static_cast<std::size_t>(
+      std::count(pattern.begin(), pattern.end(), std::uint8_t{1}));
+  // A symbol holds whole puncture periods, so it ends on a pair boundary
+  // with the pattern index back at 0.
+  WITAG_ENSURE(table.n_cbps % kept == 0);
+  const std::span<const util::Cx> constellation = constellation_points(mod);
+
+  std::uint32_t shift = 0;  // encoder register, as in convolutional_encode
+  std::size_t pi = 0;
+  for (std::size_t s = 0; s < n_sym; ++s) {
+    std::array<std::uint8_t, kDataSubcarriers> index{};
+    const auto put = [&](unsigned k, unsigned bit) {
+      const CodedSlot slot = table.slots[k];
+      index[slot.point] =
+          static_cast<std::uint8_t>(index[slot.point] | (bit << slot.shift));
+    };
+    for (unsigned k = 0; k < table.n_cbps;) {
+      shift = (shift >> 1) | (static_cast<std::uint32_t>(next_bit() & 1u) << 6);
+      const unsigned ab = kEncoderLut[shift];
+      if (pattern[pi]) put(k++, ab & 1u);
+      pi = (pi + 1 == pattern.size()) ? 0 : pi + 1;
+      if (pattern[pi]) put(k++, ab >> 1);
+      pi = (pi + 1 == pattern.size()) ? 0 : pi + 1;
+    }
+    std::array<util::Cx, kDataSubcarriers> points;
+    for (std::size_t p = 0; p < kDataSubcarriers; ++p) {
+      points[p] = constellation[index[p]];
+    }
+    out.push_back(assemble_data_symbol(points, first_symbol_index + s));
+  }
 }
 
 }  // namespace
@@ -58,10 +114,13 @@ SlotKind TxPpdu::kind(std::size_t slot) const {
 TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
   WITAG_REQUIRE(!psdu.empty());
   WITAG_REQUIRE(psdu.size() < 65536);
+  WITAG_REQUIRE(cfg.scrambler_seed >= 1 && cfg.scrambler_seed <= 127);
   const McsParams& m = mcs(cfg.mcs_index);
+  const std::size_t n_sym = data_symbols_for(psdu.size(), m);
 
   TxPpdu ppdu;
   ppdu.sig = HtSig{cfg.mcs_index, psdu.size()};
+  ppdu.symbols.reserve(kHeaderSlots + n_sym);
 
   // Preamble.
   ppdu.symbols.push_back(stf_symbol());
@@ -69,31 +128,39 @@ TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
 
   // SIG field: BPSK rate 1/2, symbol indices 0..1 for pilot polarity.
   const util::BitVec sig_bits = encode_sig(ppdu.sig);
-  const auto sig_syms =
-      encode_field(sig_bits, Modulation::kBpsk, CodeRate::kHalf, 0);
-  WITAG_ENSURE(sig_syms.size() == kSigSymbols);
-  ppdu.symbols.insert(ppdu.symbols.end(), sig_syms.begin(), sig_syms.end());
+  std::size_t sig_at = 0;
+  transmit_field([&] { return sig_bits[sig_at++]; }, kSigSymbols,
+                 Modulation::kBpsk, CodeRate::kHalf, 0, ppdu.symbols);
+  WITAG_ENSURE(sig_at == sig_bits.size());
 
   // DATA field: service + PSDU + tail, padded to whole symbols, scrambled
-  // (with the tail re-zeroed so the decoder's trellis terminates).
-  const std::size_t n_sym = data_symbols_for(psdu.size(), m);
-  const std::size_t n_bits = n_sym * m.n_dbps;
-  util::BitWriter w;
-  w.write(0, kServiceBits);
-  w.write_bits(util::bytes_to_bits(psdu));
-  w.write(0, kTailBits);
-  util::BitVec data_bits = w.take();
-  data_bits.resize(n_bits, 0);
-
-  util::BitVec scrambled = scramble(data_bits, cfg.scrambler_seed);
-  const std::size_t tail_at = kServiceBits + 8 * psdu.size();
-  std::fill_n(scrambled.begin() + static_cast<std::ptrdiff_t>(tail_at),
-              kTailBits, std::uint8_t{0});
-
-  const auto data_syms =
-      encode_field(scrambled, m.modulation, m.rate, kSigSymbols);
-  ppdu.n_data_symbols = data_syms.size();
-  ppdu.symbols.insert(ppdu.symbols.end(), data_syms.begin(), data_syms.end());
+  // (with the tail re-zeroed so the decoder's trellis terminates). Stream
+  // byte b holds bits 8b..8b+7 LSB-first: bytes 0..1 are the service
+  // field, the PSDU follows byte-aligned, and the low kTailBits of the
+  // byte after it are the tail.
+  const std::size_t tail_byte = kServiceBits / 8 + psdu.size();
+  std::uint8_t state = cfg.scrambler_seed;
+  std::size_t byte_at = 0;
+  unsigned cur = 0;
+  unsigned left = 0;
+  const auto next_data_bit = [&] {
+    if (left == 0) {
+      const std::size_t b = byte_at++;
+      const std::uint8_t plain =
+          (b >= kServiceBits / 8 && b < tail_byte) ? psdu[b - kServiceBits / 8]
+                                                   : std::uint8_t{0};
+      cur = scramble_byte(plain, state);
+      if (b == tail_byte) cur &= ~((1u << kTailBits) - 1u);
+      left = 8;
+    }
+    const unsigned bit = cur & 1u;
+    cur >>= 1;
+    --left;
+    return bit;
+  };
+  transmit_field(next_data_bit, n_sym, m.modulation, m.rate, kSigSymbols,
+                 ppdu.symbols);
+  ppdu.n_data_symbols = n_sym;
   return ppdu;
 }
 

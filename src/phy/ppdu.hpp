@@ -4,6 +4,14 @@
 // estimation, per-subcarrier equalization, soft demapping and Viterbi
 // decoding on the receive side.
 //
+// `transmit` runs the chain as one streaming pass per field with no
+// intermediate bit vectors: each scrambled byte's bits step the encoder
+// LUT, the kept coded bits land straight in their constellation point's
+// index via a per-modulation (point, bit) table, and each full symbol
+// is mapped and assembled into the PPDU (DESIGN.md §12.5). The
+// stage-by-stage chain lives on in tests/test_ppdu.cpp as the
+// specification it is checked against.
+//
 // The PPDU is exposed as a timeline of frequency-domain OFDM symbols so
 // the channel simulator can apply a (possibly time-varying) channel per
 // symbol — which is exactly the granularity at which a WiTAG tag operates.

@@ -10,7 +10,8 @@ namespace {
 constexpr std::uint8_t lfsr_step(std::uint8_t& state) {
   const std::uint8_t out =
       static_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1u);
-  state = static_cast<std::uint8_t>(((state << 1) | out) & 0x7Fu);
+  state = static_cast<std::uint8_t>(
+      ((static_cast<unsigned>(state) << 1) | out) & 0x7Fu);
   return out;
 }
 
@@ -71,6 +72,12 @@ util::BitVec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed) {
   return out;
 }
 
+std::uint8_t scramble_byte(std::uint8_t byte, std::uint8_t& state) {
+  const std::uint8_t ks = kScrTables.keystream[state];
+  state = kScrTables.next_state[state];
+  return static_cast<std::uint8_t>(byte ^ ks);
+}
+
 util::BitVec descramble_recover(std::span<const std::uint8_t> bits) {
   util::BitVec out;
   descramble_recover_into(bits, out);
@@ -85,7 +92,8 @@ void descramble_recover_into(std::span<const std::uint8_t> bits,
   // the first 7 scrambled bits.
   std::uint8_t state = 0;
   for (unsigned i = 0; i < 7; ++i) {
-    state = static_cast<std::uint8_t>(((state << 1) | (bits[i] & 1u)) & 0x7Fu);
+    state = static_cast<std::uint8_t>(
+        ((static_cast<unsigned>(state) << 1) | (bits[i] & 1u)) & 0x7Fu);
   }
   out.assign(bits.size(), 0);
   apply_keystream(bits.data() + 7, out.data() + 7, bits.size() - 7, state);
@@ -122,7 +130,8 @@ util::BitVec descramble_recover_reference(std::span<const std::uint8_t> bits) {
   WITAG_REQUIRE(bits.size() >= 7);
   std::uint8_t state = 0;
   for (unsigned i = 0; i < 7; ++i) {
-    state = static_cast<std::uint8_t>(((state << 1) | (bits[i] & 1u)) & 0x7Fu);
+    state = static_cast<std::uint8_t>(
+        ((static_cast<unsigned>(state) << 1) | (bits[i] & 1u)) & 0x7Fu);
   }
   util::BitVec out(bits.size(), 0);
   for (std::size_t i = 7; i < bits.size(); ++i) {

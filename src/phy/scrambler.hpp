@@ -16,6 +16,13 @@ namespace witag::phy {
 /// Requires seed in [1, 127] (an all-zero state would be degenerate).
 util::BitVec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed);
 
+/// Scrambles eight stream bits packed LSB-first in `byte` with the
+/// keystream from `state` and advances `state` eight steps: one table
+/// lookup of scramble(), for encoders that stream packed bytes. Bit i
+/// of the result equals scramble()'s output bit i. Requires state in
+/// [1, 127].
+std::uint8_t scramble_byte(std::uint8_t byte, std::uint8_t& state);
+
 /// Descrambles a stream whose first 7 plain bits are known to be zero
 /// (the 802.11 SERVICE-field convention): the first 7 scrambled bits are
 /// then the raw LFSR output, which reveals the scrambler state without

@@ -23,7 +23,8 @@ constexpr std::array<std::uint8_t, 256> make_crc8_table() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint8_t c = static_cast<std::uint8_t>(i);
     for (int k = 0; k < 8; ++k) {
-      c = static_cast<std::uint8_t>((c & 0x80u) ? ((c << 1) ^ 0x07u) : (c << 1));
+      const unsigned shifted = static_cast<unsigned>(c) << 1;
+      c = static_cast<std::uint8_t>((c & 0x80u) ? (shifted ^ 0x07u) : shifted);
     }
     table[i] = c;
   }

@@ -260,7 +260,9 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
   }
 
   // Air: per-symbol channel application with the trigger envelope scale.
-  std::vector<phy::FreqSymbol> tx = frame.ppdu.symbols;
+  // Scaled in place: past td_blocks above, nothing reads the round-local
+  // frame's symbols, only their count.
+  std::vector<phy::FreqSymbol>& tx = frame.ppdu.symbols;
   for (std::size_t s = 0; s < tx.size(); ++s) {
     if (frame.slot_scale[s] == 1.0) continue;
     for (auto& bin : tx[s]) bin *= frame.slot_scale[s];

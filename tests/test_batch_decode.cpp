@@ -9,11 +9,16 @@
 #include <span>
 #include <vector>
 
+#include <cstring>
+
 #include "obs/obs.hpp"
 #include "phy/batch.hpp"
+#include "phy/convolutional.hpp"
+#include "phy/interleaver.hpp"
 #include "phy/mcs.hpp"
 #include "phy/ppdu.hpp"
 #include "phy/simd.hpp"
+#include "phy/viterbi.hpp"
 #include "util/rng.hpp"
 
 namespace witag {
@@ -80,7 +85,7 @@ std::vector<phy::simd::Tier> runnable_tiers() {
 
 TEST(BatchDecode, EveryTierMatchesScalar) {
   // The SIMD kernels are each parity-tested in test_simd.cpp; this runs
-  // the whole pipeline (equalize → demap → deinterleave → Viterbi →
+  // the whole pipeline (equalize → demap → scatter → Viterbi →
   // descramble) per tier, one decoder reused across every capture.
   phy::BatchDecoder decoder;
   const phy::RxConfig cfg;
@@ -166,6 +171,75 @@ TEST(BatchDecode, SteadyStateDecodesWithoutAllocating) {
   // path: the counter only increments when no buffer grew.
   EXPECT_EQ(obs::counter("phy.batch.scratch_reuses").value(),
             reuses_before + kRounds * lanes.size());
+}
+
+/// One scatter case: a field of `n_sym` symbols at (mod, rate), decoded
+/// through `n_info_bits` (0 = everything).
+struct ScatterCase {
+  phy::Modulation mod;
+  phy::CodeRate rate;
+  std::size_t n_sym;
+  std::size_t n_info_bits;
+};
+
+TEST(BatchDecode, ScatterMatchesDeinterleaveThenDepuncture) {
+  util::Rng rng(0x5CA7);
+  std::vector<ScatterCase> cases;
+  // SIG: two BPSK 1/2 symbols, decoded whole.
+  cases.push_back({phy::Modulation::kBpsk, phy::CodeRate::kHalf,
+                   phy::kSigSymbols, 0});
+  for (unsigned i = 0; i < phy::kNumMcs; ++i) {
+    const phy::McsParams& m = phy::mcs(i);
+    for (const std::size_t n_sym : {1u, 3u, 17u}) {
+      const std::size_t n_info = n_sym * m.n_dbps;
+      cases.push_back({m.modulation, m.rate, n_sym, 0});
+      cases.push_back({m.modulation, m.rate, n_sym, n_info});
+      cases.push_back({m.modulation, m.rate, n_sym, 1 + rng.uniform_int(n_info)});
+    }
+  }
+  const double specials[] = {phy::kMaxLlr, -phy::kMaxLlr, 0.0, -0.0};
+  for (const ScatterCase& c : cases) {
+    const unsigned n_cbps = phy::kDataSubcarriers * phy::bits_per_symbol(c.mod);
+    std::vector<std::vector<double>> sym_llrs(c.n_sym,
+                                              std::vector<double>(n_cbps));
+    for (auto& sym : sym_llrs) {
+      for (double& v : sym) {
+        v = rng.uniform_int(4) == 0 ? specials[rng.uniform_int(4)]
+                                    : rng.uniform(-30.0, 30.0);
+      }
+    }
+
+    // Reference: deinterleave each symbol, concatenate, depuncture.
+    std::vector<double> concat;
+    for (const auto& sym : sym_llrs) {
+      const std::vector<double> d = phy::deinterleave_llrs(sym, c.mod);
+      concat.insert(concat.end(), d.begin(), d.end());
+    }
+    const auto frac = phy::rate_fraction(c.rate);
+    std::vector<double> want =
+        phy::depuncture(concat, c.rate, 2 * (concat.size() * frac.num / frac.den));
+    if (c.n_info_bits != 0) want.resize(2 * c.n_info_bits);
+
+    // Scatter, the way BatchDecoder::decode_field runs it.
+    const phy::detail::LlrScatter& scatter = phy::detail::llr_scatter(c.mod, c.rate);
+    ASSERT_EQ(scatter.n_cbps, n_cbps);
+    std::vector<double> got(c.n_sym * scatter.mother_per_symbol, 0.0);
+    for (std::size_t s = 0; s < c.n_sym; ++s) {
+      scatter.scatter(sym_llrs[s], s, got);
+    }
+    if (c.n_info_bits != 0) got.resize(2 * c.n_info_bits);
+
+    ASSERT_EQ(got.size(), want.size()) << "n_sym " << c.n_sym;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0)
+        << "modulation " << static_cast<int>(c.mod) << " rate "
+        << static_cast<int>(c.rate) << " n_sym " << c.n_sym << " n_info_bits "
+        << c.n_info_bits;
+  }
+  // A pair no MCS uses (BPSK 2/3: 52 coded bits are not whole periods
+  // of 3 kept bits) has no table.
+  EXPECT_THROW(phy::detail::llr_scatter(phy::Modulation::kBpsk,
+                                        phy::CodeRate::kTwoThirds),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "phy/constellation.hpp"
+#include "phy/convolutional.hpp"
+#include "phy/interleaver.hpp"
 #include "phy/preamble.hpp"
+#include "phy/scrambler.hpp"
 #include "util/rng.hpp"
 
 namespace witag::phy {
@@ -185,6 +192,79 @@ TEST(Ppdu, ScramblerSeedDoesNotAffectDecode) {
     const RxResult rx = receive(ppdu.symbols, {});
     ASSERT_TRUE(rx.sig_ok) << "seed " << int(seed);
     EXPECT_EQ(rx.psdu, psdu) << "seed " << int(seed);
+  }
+}
+
+// The stage-by-stage 802.11 chain that transmit() fuses into one pass:
+// each stage materialises its whole output, using the bit-serial
+// scrambler and popcount encoder references.
+void spec_field(std::span<const std::uint8_t> bits, Modulation mod,
+                CodeRate rate, std::size_t first_symbol_index,
+                std::vector<FreqSymbol>& out) {
+  const util::BitVec coded =
+      puncture(detail::convolutional_encode_reference(bits), rate);
+  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
+  ASSERT_EQ(coded.size() % n_cbps, 0u);
+  for (std::size_t off = 0; off < coded.size(); off += n_cbps) {
+    const util::BitVec interleaved =
+        interleave(std::span(coded).subspan(off, n_cbps), mod);
+    out.push_back(assemble_data_symbol(map_bits(interleaved, mod),
+                                       first_symbol_index + off / n_cbps));
+  }
+}
+
+std::vector<FreqSymbol> spec_transmit(std::span<const std::uint8_t> psdu,
+                                      const TxConfig& cfg) {
+  const McsParams& m = mcs(cfg.mcs_index);
+  std::vector<FreqSymbol> symbols{stf_symbol(), ltf_symbol(), ltf_symbol()};
+  spec_field(encode_sig(HtSig{cfg.mcs_index, psdu.size()}), Modulation::kBpsk,
+             CodeRate::kHalf, 0, symbols);
+
+  util::BitWriter w;
+  w.write(0, 16);  // SERVICE
+  w.write_bits(util::bytes_to_bits(psdu));
+  w.write(0, 6);  // tail
+  util::BitVec data = w.take();
+  data.resize(data_symbols_for(psdu.size(), m) * m.n_dbps, 0);
+  util::BitVec scrambled = detail::scramble_reference(data, cfg.scrambler_seed);
+  std::fill_n(scrambled.begin() + static_cast<std::ptrdiff_t>(16 + 8 * psdu.size()),
+              6, std::uint8_t{0});
+  spec_field(scrambled, m.modulation, m.rate, kSigSymbols, symbols);
+  return symbols;
+}
+
+TEST(PpduTransmit, MatchesSpecChainEveryMcs) {
+  util::Rng rng(0x5EC);
+  for (const std::size_t length : {1u, 2u, 3u, 25u, 97u, 1500u, 6656u, 65535u}) {
+    const util::ByteVec psdu = rng.bytes(length);
+    for (unsigned mcs_index = 0; mcs_index < kNumMcs; ++mcs_index) {
+      for (const std::uint8_t seed : {0x01, 0x5D, 0x7F}) {
+        const TxConfig cfg{mcs_index, seed};
+        const TxPpdu got = transmit(psdu, cfg);
+        const std::vector<FreqSymbol> want = spec_transmit(psdu, cfg);
+        ASSERT_EQ(got.symbols.size(), want.size())
+            << "MCS " << mcs_index << " length " << length;
+        ASSERT_EQ(got.n_data_symbols, want.size() - kHeaderSlots);
+        ASSERT_EQ(got.sig, (HtSig{mcs_index, length}));
+        ASSERT_EQ(std::memcmp(got.symbols.data(), want.data(),
+                              want.size() * sizeof(FreqSymbol)),
+                  0)
+            << "MCS " << mcs_index << " length " << length << " seed "
+            << int(seed);
+      }
+    }
+  }
+}
+
+TEST(PpduTransmit, RejectsScramblerSeedOutsideLfsrStates) {
+  // 0 would be the degenerate all-zero LFSR state, and 128+ would index
+  // past the 128-entry keystream tables.
+  util::Rng rng(9);
+  for (const std::uint8_t seed : {0, 128, 255}) {
+    TxConfig cfg;
+    cfg.scrambler_seed = seed;
+    EXPECT_THROW(transmit(rng.bytes(10), cfg), std::invalid_argument)
+        << "seed " << int(seed);
   }
 }
 

@@ -30,11 +30,13 @@ bool determinism_applies(const std::string& path) {
 }
 
 /// Hot-alloc applies to the files holding the per-step decode loops
+/// (Viterbi, OFDM, the BatchDecoder front end and its scatter tables)
 /// and the city simulator's event loop, where the zero-alloc contract
 /// is load-bearing for throughput (pooled calendar nodes in sim/).
 bool hot_alloc_applies(const std::string& path) {
   return path.find("phy/viterbi.cpp") != std::string::npos ||
          path.find("phy/ofdm.cpp") != std::string::npos ||
+         path.find("phy/batch.cpp") != std::string::npos ||
          path.find("sim/event_queue.cpp") != std::string::npos ||
          path.find("sim/city_run.cpp") != std::string::npos;
 }
