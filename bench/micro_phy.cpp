@@ -30,64 +30,35 @@ namespace {
 
 using namespace witag;
 
-// Planned (cached twiddle/bit-reversal) vs reference FFT across the
-// transform sizes the simulator actually uses: 64 (one OFDM symbol) and
-// the 128/256 oversampled render paths. The planned/reference pairs
-// share identical input so the ratio is the plan cache's win; the obs
-// reporter below exports each ns/op into the metrics JSON, which is how
-// bench/BENCH_phy.json pins the baseline.
-template <std::size_t N>
-void BM_Fft(benchmark::State& state) {
+// The 64-point transform (one OFDM symbol; the tag's envelope render
+// is its one production caller) vs the reference that re-derives its
+// twiddles per call. Both share identical input so the ratio is the
+// plan's win; the obs reporter below exports each ns/op into the
+// metrics JSON, which is how bench/BENCH_phy.json pins the baseline.
+util::CxVec fft_bench_input() {
   util::Rng rng(1);
-  util::CxVec data(N);
+  util::CxVec data(64);
   for (auto& x : data) x = rng.complex_normal(1.0);
+  return data;
+}
+
+void BM_Fft64Radix4(benchmark::State& state) {
+  util::CxVec data = fft_bench_input();
   for (auto _ : state) {
     phy::fft_inplace(data);
     benchmark::DoNotOptimize(data.data());
   }
 }
-void BM_Fft64(benchmark::State& state) { BM_Fft<64>(state); }
-void BM_Fft128(benchmark::State& state) { BM_Fft<128>(state); }
-void BM_Fft256(benchmark::State& state) { BM_Fft<256>(state); }
-BENCHMARK(BM_Fft64);
-BENCHMARK(BM_Fft128);
-BENCHMARK(BM_Fft256);
+BENCHMARK(BM_Fft64Radix4);
 
-template <std::size_t N>
-void BM_FftReference(benchmark::State& state) {
-  util::Rng rng(1);
-  util::CxVec data(N);
-  for (auto& x : data) x = rng.complex_normal(1.0);
+void BM_Fft64Reference(benchmark::State& state) {
+  util::CxVec data = fft_bench_input();
   for (auto _ : state) {
     phy::detail::fft_reference_inplace(data, /*inverse=*/false);
     benchmark::DoNotOptimize(data.data());
   }
 }
-void BM_Fft64Reference(benchmark::State& state) { BM_FftReference<64>(state); }
-void BM_Fft128Reference(benchmark::State& state) {
-  BM_FftReference<128>(state);
-}
-void BM_Fft256Reference(benchmark::State& state) {
-  BM_FftReference<256>(state);
-}
 BENCHMARK(BM_Fft64Reference);
-BENCHMARK(BM_Fft128Reference);
-BENCHMARK(BM_Fft256Reference);
-
-// The radix-4 engine on the scalar kernel tier, isolated from both the
-// plan cache lookup (plan fetched once here) and the SIMD dispatch, so
-// the gauge pins the stage-fusion win itself. BM_Fft64 above is the
-// dispatched production path over the same engine.
-void BM_Fft64Radix4(benchmark::State& state) {
-  util::Rng rng(1);
-  util::CxVec data(64);
-  for (auto& x : data) x = rng.complex_normal(1.0);
-  for (auto _ : state) {
-    phy::detail::fft_radix4_inplace(data, /*inverse=*/false);
-    benchmark::DoNotOptimize(data.data());
-  }
-}
-BENCHMARK(BM_Fft64Radix4);
 
 void BM_ViterbiPerKilobit(benchmark::State& state) {
   util::Rng rng(2);

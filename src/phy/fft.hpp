@@ -1,48 +1,36 @@
-// Iterative radix-2 FFT/IFFT with unitary (1/sqrt(N)) scaling in both
-// directions so transforms preserve signal power — convenient for SNR
-// bookkeeping across the time/frequency boundary.
+// The 64-point FFT/IFFT of one OFDM symbol, with unitary (1/sqrt(N))
+// scaling in both directions so transforms preserve signal power —
+// convenient for SNR bookkeeping across the time/frequency boundary.
+// Its one production caller is to_time (ofdm.hpp), which renders header
+// and trigger slots for the tag's envelope detector.
 //
-// Hot path: transforms execute against a process-wide plan cache keyed
-// by length (bit-reversal swap list + per-stage twiddle tables), so the
-// cos/sin work is paid once per length per process instead of once per
-// call. The cache is thread-safe (lock-free lookup, mutex-guarded
-// build) and plans live for the process lifetime; the planned path is
-// bit-identical to the reference transform because plans store the
-// twiddles produced by the very same recurrence.
+// The transform runs against a process-wide plan (bit-reversal swap
+// list + per-stage twiddle tables) built once, so the cos/sin work is
+// not paid per call. The plan stores the twiddles produced by the very
+// same recurrence as the reference transform, and the fused radix-4
+// passes perform exactly the reference's arithmetic, so the planned
+// path is bit-identical to it.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "util/complexvec.hpp"
 
 namespace witag::phy {
 
-/// In-place forward FFT. Requires a power-of-two length >= 1.
+/// In-place forward FFT. Requires exactly 64 points.
 void fft_inplace(std::span<util::Cx> data);
 
-/// In-place inverse FFT. Requires a power-of-two length >= 1.
+/// In-place inverse FFT. Requires exactly 64 points.
 void ifft_inplace(std::span<util::Cx> data);
-
-/// Out-of-place convenience wrappers.
-util::CxVec fft(std::span<const util::Cx> data);
-util::CxVec ifft(std::span<const util::Cx> data);
 
 namespace detail {
 
-/// Reference transform that re-derives twiddles per call (the pre-cache
-/// implementation). Kept for micro-benchmark baselines and for the test
-/// asserting the planned path is bit-identical.
+/// Reference transform for any power-of-two length >= 1 that re-derives
+/// twiddles per call (the textbook radix-2 loop). Kept as the oracle the
+/// planned transform is tested against bit for bit, and as the
+/// BM_Fft64Reference micro-benchmark baseline.
 void fft_reference_inplace(std::span<util::Cx> data, bool inverse);
-
-/// The planned fused-radix-4 engine pinned to the scalar (hoisted
-/// twiddle) butterflies regardless of the active SIMD tier. Used by
-/// BM_Fft64Radix4 to gate the scalar engine on plain CI runners, and by
-/// tests to check every tier against fft_reference_inplace.
-void fft_radix4_inplace(std::span<util::Cx> data, bool inverse);
-
-/// Number of FFT plans currently cached (one per distinct length seen).
-std::size_t fft_plan_count();
 
 }  // namespace detail
 

@@ -84,24 +84,14 @@ std::array<Cx, kNumPilots> extract_pilots(const FreqSymbol& symbol) {
 util::CxVec to_time(const FreqSymbol& symbol) {
   WITAG_SPAN_CAT("phy.ofdm.to_time", "phy");
   WITAG_COUNT("phy.ofdm.to_time.calls", 1);
-  util::CxVec work(symbol.begin(), symbol.end());
-  ifft_inplace(work);
-  // Cyclic prefix: last kCpLen samples first.
+  // IFFT in place in the block's last kFftSize samples, then the cyclic
+  // prefix: a copy of the last kCpLen samples, placed first.
   util::CxVec samples(kSamplesPerSymbol);
-  std::copy(work.end() - kCpLen, work.end(), samples.begin());
-  std::copy(work.begin(), work.end(), samples.begin() + kCpLen);
+  const std::span<Cx> body(samples.data() + kCpLen, kFftSize);
+  std::copy(symbol.begin(), symbol.end(), body.begin());
+  ifft_inplace(body);
+  std::copy(samples.end() - kCpLen, samples.end(), samples.begin());
   return samples;
-}
-
-FreqSymbol from_time(std::span<const Cx> samples) {
-  WITAG_SPAN_CAT("phy.ofdm.from_time", "phy");
-  WITAG_COUNT("phy.ofdm.from_time.calls", 1);
-  WITAG_REQUIRE(samples.size() == kSamplesPerSymbol);
-  util::CxVec work(samples.begin() + kCpLen, samples.end());
-  fft_inplace(work);
-  FreqSymbol symbol{};
-  std::copy(work.begin(), work.end(), symbol.begin());
-  return symbol;
 }
 
 }  // namespace witag::phy

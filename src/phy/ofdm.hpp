@@ -1,8 +1,9 @@
 // OFDM symbol layout for the HT 20 MHz PHY: 64-point FFT grid with 56
 // used subcarriers (52 data + 4 pilots at +/-7 and +/-21), 16-sample
 // cyclic prefix at 20 Msps (4 us symbols). Provides the mapping between
-// constellation points and frequency-domain symbols, and between
-// frequency-domain symbols and time-domain sample blocks.
+// constellation points and frequency-domain symbols, and the one step
+// into the time domain: to_time, which renders a symbol's 80-sample
+// block for the tag's envelope detector.
 #pragma once
 
 #include <array>
@@ -54,9 +55,5 @@ std::array<util::Cx, kNumPilots> extract_pilots(const FreqSymbol& symbol);
 /// Frequency-domain symbol -> 80 time-domain samples (unitary IFFT with
 /// cyclic prefix prepended).
 util::CxVec to_time(const FreqSymbol& symbol);
-
-/// 80 time-domain samples -> frequency-domain symbol (drop CP, FFT).
-/// Requires exactly kSamplesPerSymbol samples.
-FreqSymbol from_time(std::span<const util::Cx> samples);
 
 }  // namespace witag::phy

@@ -169,25 +169,4 @@ RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg) {
   return decoder.decode_one(symbols, cfg);
 }
 
-util::CxVec to_samples(const TxPpdu& ppdu) {
-  util::CxVec samples;
-  samples.reserve(ppdu.symbols.size() * kSamplesPerSymbol);
-  for (const FreqSymbol& sym : ppdu.symbols) {
-    const util::CxVec block = to_time(sym);
-    samples.insert(samples.end(), block.begin(), block.end());
-  }
-  return samples;
-}
-
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg) {
-  WITAG_REQUIRE(samples.size() % kSamplesPerSymbol == 0);
-  std::vector<FreqSymbol> symbols;
-  symbols.reserve(samples.size() / kSamplesPerSymbol);
-  for (std::size_t off = 0; off < samples.size(); off += kSamplesPerSymbol) {
-    symbols.push_back(from_time(samples.subspan(off, kSamplesPerSymbol)));
-  }
-  return receive(symbols, cfg);
-}
-
 }  // namespace witag::phy

@@ -15,7 +15,8 @@
 // The PPDU is exposed as a timeline of frequency-domain OFDM symbols so
 // the channel simulator can apply a (possibly time-varying) channel per
 // symbol — which is exactly the granularity at which a WiTAG tag operates.
-// `to_samples`/`receive_samples` provide the equivalent time-domain path.
+// The receiver starts from that aligned timeline: the only time-domain
+// step is the tag's envelope render (ofdm.hpp's to_time).
 #pragma once
 
 #include <cstdint>
@@ -86,13 +87,5 @@ struct RxResult {
 /// Requires at least the header slots. One-shot wrapper over a fresh
 /// phy::BatchDecoder (phy/batch.hpp); hot paths keep a decoder instead.
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg);
-
-/// Flattens a PPDU to 20 Msps time-domain samples (80 per slot).
-util::CxVec to_samples(const TxPpdu& ppdu);
-
-/// Splits time-domain samples back into frequency-domain symbols and
-/// decodes them. Requires a whole number of 80-sample slots.
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg);
 
 }  // namespace witag::phy

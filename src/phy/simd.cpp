@@ -124,60 +124,7 @@ void demap_block_scalar(const double* re, const double* im, const double* nv,
   }
 }
 
-using util::Cx;
-
-void fft_radix4_pass_scalar(Cx* data, std::size_t n, std::size_t h,
-                            const Cx* w1, const Cx* w2) {
-  // k outer so each twiddle triple is loaded once per pass instead of
-  // once per block — the "hoist twiddle loads" win for the many-block
-  // early stages.
-  for (std::size_t k = 0; k < h; ++k) {
-    const Cx w1k = w1[k];
-    const Cx w2k = w2[k];
-    const Cx w2kh = w2[k + h];
-    for (std::size_t i = 0; i < n; i += 4 * h) {
-      Cx& d0 = data[i + k];
-      Cx& d1 = data[i + k + h];
-      Cx& d2 = data[i + k + 2 * h];
-      Cx& d3 = data[i + k + 3 * h];
-      // First (half-h) stage on both sub-blocks, then the half-2h
-      // stage across them: identical per-element arithmetic to running
-      // the two radix-2 stages back to back.
-      const Cx t = d1 * w1k;
-      const Cx s0 = d0 + t;
-      const Cx s1 = d0 - t;
-      const Cx u = d3 * w1k;
-      const Cx s2 = d2 + u;
-      const Cx s3 = d2 - u;
-      const Cx v0 = s2 * w2k;
-      const Cx v1 = s3 * w2kh;
-      d0 = s0 + v0;
-      d2 = s0 - v0;
-      d1 = s1 + v1;
-      d3 = s1 - v1;
-    }
-  }
-}
-
-void fft_len2_pass_scalar(Cx* data, std::size_t n) {
-  // Stage twiddle is exactly (1, 0); the reference still multiplies by
-  // it, so do the same multiply to stay bit-identical on signed zeros.
-  const Cx w{1.0, 0.0};
-  for (std::size_t i = 0; i < n; i += 2) {
-    const Cx a = data[i];
-    const Cx v = data[i + 1] * w;
-    data[i] = a + v;
-    data[i + 1] = a - v;
-  }
-}
-
-void fft_scale_scalar(Cx* data, std::size_t n, double scale) {
-  for (std::size_t i = 0; i < n; ++i) data[i] *= scale;
-}
-
-constexpr Kernels kScalarKernels{acs_run_scalar, demap_block_scalar,
-                                 fft_radix4_pass_scalar, fft_len2_pass_scalar,
-                                 fft_scale_scalar};
+constexpr Kernels kScalarKernels{acs_run_scalar, demap_block_scalar};
 
 }  // namespace
 

@@ -1,10 +1,9 @@
 // Runtime SIMD tiers and the one kernel table the PHY hot path
-// dispatches through: Viterbi add-compare-select, soft demap and the
-// radix-4 FFT passes. Two tiers, scalar and AVX2. Equalize and
-// deinterleave stay plain scalar loops (channel_est.cpp,
-// interleaver.cpp): forcing their AVX2 kernels to scalar cost nothing
-// measurable end to end, while scalar demap cost fig5 17% of its
-// rounds/s (DESIGN.md §14).
+// dispatches through: Viterbi add-compare-select and soft demap. Two
+// tiers, scalar and AVX2. Equalize, deinterleave and the 64-point FFT
+// stay plain scalar loops (channel_est.cpp, interleaver.cpp, fft.cpp):
+// forcing their AVX2 kernels to scalar cost nothing measurable end to
+// end, while scalar demap cost fig5 17% of its rounds/s (DESIGN.md §14).
 //
 // Every kernel here is bit-identical to its scalar counterpart by
 // construction: the build carries no -march/-ffast-math, so scalar code
@@ -30,8 +29,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-
-#include "util/complexvec.hpp"
 
 namespace witag::phy::simd {
 
@@ -103,26 +100,6 @@ using DemapBlockFn = void (*)(const double* re, const double* im,
                               const DemapAxes& ax, double* out);
 
 // ---------------------------------------------------------------------
-// FFT passes (decimation-in-time, fused radix-4). See fft.cpp for the
-// engine that sequences these over a plan's twiddle tables.
-// ---------------------------------------------------------------------
-
-/// One fused radix-4 pass: performs the two consecutive radix-2 stages
-/// with half-lengths `h` and `2*h` over blocks of `4*h` elements. `w1`
-/// points at the h-half stage's twiddles (h entries), `w2` at the
-/// 2h-half stage's (2*h entries). Requires 4*h <= n.
-using FftRadix4PassFn = void (*)(util::Cx* data, std::size_t n,
-                                 std::size_t h, const util::Cx* w1,
-                                 const util::Cx* w2);
-
-/// The standalone length-2 stage used when log2(n) is odd. Requires
-/// n >= 4 and even.
-using FftLen2PassFn = void (*)(util::Cx* data, std::size_t n);
-
-/// Final 1/sqrt(n) scaling over the whole buffer.
-using FftScaleFn = void (*)(util::Cx* data, std::size_t n, double scale);
-
-// ---------------------------------------------------------------------
 // Dispatch.
 // ---------------------------------------------------------------------
 
@@ -130,9 +107,6 @@ using FftScaleFn = void (*)(util::Cx* data, std::size_t n, double scale);
 struct Kernels {
   AcsRunFn acs_run;
   DemapBlockFn demap_block;
-  FftRadix4PassFn fft_radix4_pass;
-  FftLen2PassFn fft_len2_pass;
-  FftScaleFn fft_scale;
 };
 
 /// The kernel table for a tier. A tier the hardware or build cannot run

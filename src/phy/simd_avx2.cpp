@@ -1,11 +1,10 @@
-// AVX2 kernels (four doubles / two complex doubles per vector): Viterbi
-// add-compare-select, separable soft demap, and the fused radix-4 FFT
-// passes. This TU is compiled with -mavx2 (and deliberately WITHOUT
-// -mfma: the scalar code the kernels must match bit for bit is built
-// with no contraction, so the kernels stick to packed mul/add/sub —
-// an FMA here would round differently). When the compiler cannot
-// target AVX2 the file only defines avx2_kernels() returning null, and
-// dispatch stays scalar.
+// AVX2 kernels (four doubles per vector): Viterbi add-compare-select
+// and separable soft demap. This TU is compiled with -mavx2 (and
+// deliberately WITHOUT -mfma: the scalar code the kernels must match
+// bit for bit is built with no contraction, so the kernels stick to
+// packed mul/add/sub — an FMA here would round differently). When the
+// compiler cannot target AVX2 the file only defines avx2_kernels()
+// returning null, and dispatch stays scalar.
 
 #include "phy/simd.hpp"
 
@@ -149,121 +148,10 @@ void demap_block_avx2(const double* re, const double* im, const double* nv,
   }
 }
 
-using util::Cx;
-
-/// Two complex multiplies a * w matching the scalar naive formula
-/// (re = ar*wr - ai*wi, im = ai*wr + ar*wi) operation for operation —
-/// addsub provides the subtract in the even lanes and the add in the
-/// odd lanes with ordinary IEEE rounding, no FMA.
-inline __m256d cmul(__m256d a, __m256d w) {
-  const __m256d wr = _mm256_movedup_pd(w);       // [wr0, wr0, wr1, wr1]
-  const __m256d wi = _mm256_permute_pd(w, 0xF);  // [wi0, wi0, wi1, wi1]
-  const __m256d t1 = _mm256_mul_pd(a, wr);       // [ar*wr, ai*wr, ...]
-  const __m256d as = _mm256_permute_pd(a, 0x5);  // [ai, ar, ...]
-  const __m256d t2 = _mm256_mul_pd(as, wi);      // [ai*wi, ar*wi, ...]
-  return _mm256_addsub_pd(t1, t2);
-}
-
-inline __m256d load2(const Cx* p) {
-  // Heap CxVec data is only 16-byte aligned, so a 32-byte load of two
-  // adjacent complexes must be unaligned.
-  return _mm256_loadu_pd(  // witag-lint: allow(simd-unaligned)
-      reinterpret_cast<const double*>(p));
-}
-
-inline void store2(Cx* p, __m256d v) {
-  _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
-}
-
-void fft_radix4_pass_avx2(Cx* data, std::size_t n, std::size_t h,
-                          const Cx* w1, const Cx* w2) {
-  if (h == 1) {
-    // Fused len-2 + len-4 stages over blocks of four: w1[0] is exactly
-    // (1, 0) but is still multiplied, matching the scalar pass.
-    const __m256d w1b =
-        _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w1));
-    const __m256d w2v = load2(w2);
-    for (std::size_t i = 0; i < n; i += 4) {
-      const __m256d r0 = load2(data + i);      // [d0, d1]
-      const __m256d r1 = load2(data + i + 2);  // [d2, d3]
-      const __m256d us = _mm256_permute2f128_pd(r0, r1, 0x20);  // [d0, d2]
-      const __m256d vs = _mm256_permute2f128_pd(r0, r1, 0x31);  // [d1, d3]
-      const __m256d t = cmul(vs, w1b);
-      const __m256d s = _mm256_add_pd(us, t);   // [s0, s2]
-      const __m256d dd = _mm256_sub_pd(us, t);  // [s1, s3]
-      const __m256d lo = _mm256_permute2f128_pd(s, dd, 0x20);  // [s0, s1]
-      const __m256d hi = _mm256_permute2f128_pd(s, dd, 0x31);  // [s2, s3]
-      const __m256d v = cmul(hi, w2v);  // [s2*w2[0], s3*w2[1]]
-      store2(data + i, _mm256_add_pd(lo, v));
-      store2(data + i + 2, _mm256_sub_pd(lo, v));
-    }
-    return;
-  }
-  // Generic fused pass, two butterflies (two k values) per iteration.
-  // h >= 2 and a power of two, so k never straddles the block edge.
-  for (std::size_t i = 0; i < n; i += 4 * h) {
-    for (std::size_t k = 0; k < h; k += 2) {
-      const __m256d w1k = load2(w1 + k);
-      const __m256d w2k = load2(w2 + k);
-      const __m256d w2kh = load2(w2 + k + h);
-      const __m256d a = load2(data + i + k);
-      const __m256d b = load2(data + i + k + h);
-      const __m256d c = load2(data + i + k + 2 * h);
-      const __m256d e = load2(data + i + k + 3 * h);
-      const __m256d t = cmul(b, w1k);
-      const __m256d s0 = _mm256_add_pd(a, t);
-      const __m256d s1 = _mm256_sub_pd(a, t);
-      const __m256d u = cmul(e, w1k);
-      const __m256d s2 = _mm256_add_pd(c, u);
-      const __m256d s3 = _mm256_sub_pd(c, u);
-      const __m256d v0 = cmul(s2, w2k);
-      const __m256d v1 = cmul(s3, w2kh);
-      store2(data + i + k, _mm256_add_pd(s0, v0));
-      store2(data + i + k + 2 * h, _mm256_sub_pd(s0, v0));
-      store2(data + i + k + h, _mm256_add_pd(s1, v1));
-      store2(data + i + k + 3 * h, _mm256_sub_pd(s1, v1));
-    }
-  }
-}
-
-void fft_len2_pass_avx2(Cx* data, std::size_t n) {
-  const __m256d w = _mm256_setr_pd(1.0, 0.0, 1.0, 0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d r0 = load2(data + i);
-    const __m256d r1 = load2(data + i + 2);
-    const __m256d us = _mm256_permute2f128_pd(r0, r1, 0x20);  // [d0, d2]
-    const __m256d vs = _mm256_permute2f128_pd(r0, r1, 0x31);  // [d1, d3]
-    const __m256d t = cmul(vs, w);
-    const __m256d s = _mm256_add_pd(us, t);   // [o0, o2]
-    const __m256d dd = _mm256_sub_pd(us, t);  // [o1, o3]
-    store2(data + i, _mm256_permute2f128_pd(s, dd, 0x20));
-    store2(data + i + 2, _mm256_permute2f128_pd(s, dd, 0x31));
-  }
-  for (; i < n; i += 2) {
-    const Cx wc{1.0, 0.0};
-    const Cx a = data[i];
-    const Cx v = data[i + 1] * wc;
-    data[i] = a + v;
-    data[i + 1] = a - v;
-  }
-}
-
-void fft_scale_avx2(Cx* data, std::size_t n, double scale) {
-  const __m256d s = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    store2(data + i, _mm256_mul_pd(load2(data + i), s));
-  }
-  for (; i < n; ++i) data[i] *= scale;
-}
-
 }  // namespace
 
 const Kernels* avx2_kernels() {
-  static constexpr Kernels kAvx2{acs_run_avx2, demap_block_avx2,
-                                 fft_radix4_pass_avx2, fft_len2_pass_avx2,
-                                 fft_scale_avx2};
+  static constexpr Kernels kAvx2{acs_run_avx2, demap_block_avx2};
   static const bool supported = __builtin_cpu_supports("avx2") != 0;
   return supported ? &kAvx2 : nullptr;
 }

@@ -18,7 +18,6 @@
 #include "phy/channel_est.hpp"
 #include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
-#include "phy/fft.hpp"
 #include "phy/mcs.hpp"
 #include "phy/ofdm.hpp"
 #include "phy/preamble.hpp"
@@ -436,45 +435,6 @@ TEST(SimdParity, EqualizeKernelMatchesComplexDivisionReference) {
       ASSERT_NEAR(got.noise_vars[i], expect.noise_vars[i],
                   1e-12 * expect.noise_vars[i])
           << "trial " << trial << " point " << i;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// FFT.
-// ---------------------------------------------------------------------
-
-TEST(SimdParity, FftEveryTierMatchesReference) {
-  const std::vector<Tier> tiers = runnable_tiers();
-  for (std::size_t n = 1; n <= 512; n *= 2) {
-    util::Rng rng(0xFF'70 + n);
-    util::CxVec input(n);
-    for (auto& x : input) x = rng.complex_normal(1.0);
-    for (const bool inverse : {false, true}) {
-      util::CxVec expect = input;
-      phy::detail::fft_reference_inplace(expect, inverse);
-
-      util::CxVec radix4 = input;
-      phy::detail::fft_radix4_inplace(radix4, inverse);
-      ASSERT_EQ(std::memcmp(radix4.data(), expect.data(),
-                            n * sizeof(util::Cx)),
-                0)
-          << "n " << n << " inverse " << inverse << " (scalar radix-4)";
-
-      for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        util::CxVec got = input;
-        if (inverse) {
-          phy::ifft_inplace(got);
-        } else {
-          phy::fft_inplace(got);
-        }
-        ASSERT_EQ(std::memcmp(got.data(), expect.data(),
-                              n * sizeof(util::Cx)),
-                  0)
-            << "n " << n << " inverse " << inverse << " tier "
-            << phy::simd::tier_name(t);
-      }
     }
   }
 }
